@@ -5,7 +5,8 @@ Runs the same synchronized-phase point under many independent seeds and
 tabulates the estimate, its reported standard error, and the z-score
 against the closed form.  A healthy estimator keeps roughly 95% of seeds
 within two sigma and halves its standard error when the sample quadruples;
-both are printed at the end.
+both are printed at the end.  Each run takes well under a second at any
+``--bins``, so thousands of seeds are practical.
 """
 
 import argparse

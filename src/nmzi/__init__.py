@@ -39,14 +39,11 @@ from .montecarlo import (
     CoincidenceCounts,
     EstimatedCorrelation,
     McPointResult,
-    PairEvent,
     SamplingTally,
     SourceParams,
-    detect_pair,
     detection_probabilities,
     estimate_correlation,
     run_experiment,
-    sample_post_selected_pairs,
 )
 from .station import (
     StationOutputs,
@@ -71,7 +68,6 @@ __all__ = [
     "JointSettings",
     "JonesVector",
     "McPointResult",
-    "PairEvent",
     "SamplingTally",
     "SourceParams",
     "StationOutputs",
@@ -83,7 +79,6 @@ __all__ = [
     "beam_splitter_mix",
     "closed_form_station",
     "composed_station",
-    "detect_pair",
     "detection_probabilities",
     "detector_intensities",
     "estimate_correlation",
@@ -98,7 +93,6 @@ __all__ = [
     "record_at",
     "run_experiment",
     "run_verification",
-    "sample_post_selected_pairs",
     "station_outputs_deviation",
     "station_outputs_match",
     "sweep",

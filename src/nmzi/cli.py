@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
-from .elements import DEFAULT_CONVENTIONS, ElementConventions
 from .montecarlo import SourceParams, run_experiment
 from .output import emit_csv, emit_gnuplot
 from .verify import run_verification
@@ -88,7 +87,6 @@ def _build_parser() -> _Parser:
     source.add_argument("--mu", help="mean photon number per time bin")
     source.add_argument("--bins", help="number of time bins")
     source.add_argument("--seed", help="run seed (unsigned 64-bit)")
-    source.add_argument("--streams", help="independent sampling streams")
     source.add_argument("--routing", help="pair routing: paired or binomial")
 
     sub.add_parser(
@@ -113,9 +111,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="only the exact analytic identities",
     )
-    ver.add_argument(
-        "--corrupt-conventions", action="store_true", help=argparse.SUPPRESS
-    )
     return parser
 
 
@@ -138,7 +133,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     for item in getattr(args, "fix", None) or []:
         name, value = _split_assignment("--fix", item)
         overrides[f"fix.{name}"] = value
-    for key in ("mu", "bins", "seed", "streams", "routing", "normalization", "out"):
+    for key in ("mu", "bins", "seed", "routing", "normalization", "out"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -191,15 +186,8 @@ def _run_sweep_mode(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    conventions = DEFAULT_CONVENTIONS
-    if args.corrupt_conventions:
-        # Negative-control hook: break the polarizing splitter's reflection
-        # phase and prove the composed-model check notices.
-        conventions = ElementConventions(pbs_reflection_phase=1.0)
     report = run_verification(
-        include_montecarlo=not args.skip_montecarlo,
-        source=config.source,
-        conventions=conventions,
+        include_montecarlo=not args.skip_montecarlo, source=config.source
     )
     for line in report.lines():
         print(line)

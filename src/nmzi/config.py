@@ -4,15 +4,17 @@ The grammar is intentionally small.  Scalar keys::
 
     mode = analytic | montecarlo | verify
     preset = fig2 | fig3 | fig4
-    mu / bins / seed / streams / routing   (source parameters)
+    mu / bins / seed / routing   (source parameters)
     normalization = analytic | measured
     out = <path>
     gnuplot = true | false
     angles = radians | degrees
 
 plus per-parameter keys ``sweep.<param> = start:stop:step`` and
-``fix.<param> = value`` for explicit grids.  ``#`` starts a comment; blank
-lines are ignored.  Later occurrences of a key are rejected rather than
+``fix.<param> = value`` for explicit grids.  A grid may have at most
+``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
+larger grid is rejected before any point is built.  ``#`` starts a comment;
+blank lines are ignored.  Later occurrences of a key are rejected rather than
 silently shadowed.  CLI flags arrive here as an override mapping in the same
 grammar and take precedence over file values.
 
@@ -39,7 +41,6 @@ _SCALAR_KEYS = (
     "mu",
     "bins",
     "seed",
-    "streams",
     "routing",
     "normalization",
     "out",
@@ -97,6 +98,13 @@ def _strip_comment(line: str) -> str:
 
 
 def _validate_key(key: str) -> None:
+    if key == "streams":
+        # Accepted by earlier versions; say so rather than "unknown key".
+        raise ConfigError(
+            "config key 'streams' was removed: each sweep point's photon "
+            "totals are drawn in one go, so there are no sampling streams; "
+            "delete the line"
+        )
     if key in _SCALAR_KEYS:
         return
     for prefix in ("sweep.", "fix."):
@@ -227,7 +235,7 @@ def parse_config(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
 
-    source_keys = ("mu", "bins", "seed", "streams", "routing")
+    source_keys = ("mu", "bins", "seed", "routing")
     source = None
     if mode in ("montecarlo", "verify") or any(k in raw for k in source_keys):
         try:
@@ -235,7 +243,6 @@ def parse_config(
                 mean_photon_number=_as_float("mu", raw.pop("mu", str(_DEFAULT_MU))),
                 n_time_bins=_as_int("bins", raw.pop("bins", str(_DEFAULT_BINS))),
                 rng_seed=_as_int("seed", raw.pop("seed", "0")),
-                n_streams=_as_int("streams", raw.pop("streams", "1")),
                 routing=raw.pop("routing", "paired"),
             )
         except ValueError as exc:
@@ -282,7 +289,6 @@ def canonical_config_text(config: RunConfig) -> str:
         lines.append(f"mu = {src.mean_photon_number!r}")
         lines.append(f"bins = {src.n_time_bins}")
         lines.append(f"seed = {src.rng_seed}")
-        lines.append(f"streams = {src.n_streams}")
         lines.append(f"routing = {src.routing}")
     lines.append(f"normalization = {config.normalization}")
     if config.out_path is not None:
@@ -305,4 +311,7 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
         raise ConfigError(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
-    return SweepSpec(axes=config.sweep_axes, fixed=config.fixed_values)
+    try:
+        return SweepSpec(axes=config.sweep_axes, fixed=config.fixed_values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

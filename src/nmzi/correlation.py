@@ -36,6 +36,10 @@ CROSS_STATION_PAIRS = ("AD", "BC", "AC", "BD")
 _STEP_1D = math.pi / 100
 _STEP_2D = math.pi / 50
 
+# Largest sweep, in grid points, that may be expanded.  The presets have at
+# most 10 201; the cap keeps a mistyped step from exhausting memory.
+MAX_GRID_POINTS = 10_000_000
+
 _ALICE_DETECTORS = frozenset("AB")
 _BOB_DETECTORS = frozenset("CD")
 
@@ -175,11 +179,21 @@ class SweepAxis:
             raise ValueError(
                 f"axis {self.name}: start must be below stop, got [{self.start}, {self.stop}]"
             )
+        steps = (self.stop - self.start) / self.step
+        if not steps < MAX_GRID_POINTS:
+            raise ValueError(
+                f"axis {self.name}: {steps:.6g} steps exceed the cap of "
+                f"{MAX_GRID_POINTS} grid points"
+            )
+
+    @property
+    def count(self) -> int:
+        """Number of grid points, without building them."""
+        # Include the stop point when it lands on the grid (to fp slack).
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def points(self) -> list[float]:
-        # Include the stop point when it lands on the grid (to fp slack).
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9))
-        return [self.start + k * self.step for k in range(count + 1)]
+        return [self.start + k * self.step for k in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -189,6 +203,18 @@ class SweepSpec:
     axes: tuple[SweepAxis, ...]
     fixed: Mapping[str, float] = field(default_factory=dict)
     i0: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.n_points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"sweep has {self.n_points} grid points, above the cap of "
+                f"{MAX_GRID_POINTS}"
+            )
+
+    @property
+    def n_points(self) -> int:
+        """Number of grid points, from the axes alone."""
+        return math.prod(axis.count for axis in self.axes)
 
 
 PRESETS: dict[str, SweepSpec] = {

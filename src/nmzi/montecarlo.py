@@ -14,15 +14,31 @@ symmetric with (theta, psi) and detectors C/D.  The two photons are sampled
 independently -- all correlation comes from the shared settings, none from
 the source.
 
+Sampling: bins are independent and identically distributed, and so are the
+pairs, while the estimator reads only per-point totals.  Each sweep point
+therefore draws its totals directly, exactly in distribution, in three draws
+whose cost does not grow with the number of time bins:
+
+1. a multinomial of ``n_time_bins`` over the bin classes {n = 2, n >= 3,
+   n <= 1}, with Poisson masses ``e^-mu mu^2 / 2``, the clamped remainder,
+   and ``e^-mu (1 + mu)``;
+2. for ``binomial`` routing only, ``Binomial(n_pair, 1/2)`` same-side
+   rejections;
+3. a multinomial of the post-selected pairs over the nine joint fates
+   (A|B|loss) x (C|D|loss), each the product of the two photons' landing
+   probabilities.
+
+Singles, coincidences and absorbed photons are sums of the nine fate counts.
+
 Estimation: the coincidence proportion, normalized by the product of singles
 marginals (``1/4`` each analytically, or sweep-averaged measured rates),
 converges to the closed forms in :mod:`nmzi.correlation` with a plain
 binomial standard error.
 
-Reproducibility: all randomness descends from one ``SeedSequence`` spawn
-tree -- run seed -> sweep point -> stream -> (photon counts, routing,
-detection) -- with a fixed chunk size, so results are bit-identical for a
-given (seed, stream count) partitioning declaration.
+Reproducibility: ``SeedSequence(rng_seed)`` spawns one child per sweep point,
+in grid order, and each point makes its three draws from one generator on its
+child.  A point's counts depend only on the run seed and the point's position
+in the sweep, and results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,10 +59,6 @@ ROUTING_MODES = ("paired", "binomial")
 # Phase-averaged singles rate per detector; denominator of the analytic
 # normalization.
 ANALYTIC_MARGINAL = 0.25
-
-# Time bins drawn per vectorized Poisson call.  Part of the determinism
-# contract: changing it would change how the bit stream is consumed.
-_CHUNK_BINS = 1 << 20
 
 _MU_WARNING_THRESHOLD = 0.5
 
@@ -63,17 +75,17 @@ class SourceParams:
     mean_photon_number: float
     n_time_bins: int
     rng_seed: int = 0
-    n_streams: int = 1
     routing: str = "paired"
 
     def __post_init__(self) -> None:
         mu = self.mean_photon_number
         if not math.isfinite(mu) or mu <= 0.0:
             raise ValueError(f"mean_photon_number must be positive, got {mu}")
-        if self.n_time_bins < 1:
-            raise ValueError(f"n_time_bins must be positive, got {self.n_time_bins}")
-        if self.n_streams < 1:
-            raise ValueError(f"n_streams must be positive, got {self.n_streams}")
+        if not 1 <= self.n_time_bins < 2**63:
+            # numpy's multinomial takes the count as a signed 64-bit integer.
+            raise ValueError(
+                f"n_time_bins must be positive and below 2**63, got {self.n_time_bins}"
+            )
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError(
                 f"rng_seed must fit an unsigned 64-bit integer, got {self.rng_seed}"
@@ -89,19 +101,6 @@ class SourceParams:
                 stacklevel=2,
             )
 
-    def bins_in_stream(self, stream_index: int) -> int:
-        """Contiguous share of time bins assigned to one stream."""
-        base, extra = divmod(self.n_time_bins, self.n_streams)
-        return base + (1 if stream_index < extra else 0)
-
-
-@dataclass(frozen=True)
-class PairEvent:
-    """One post-selected doubly bunched pair: a bin with one photon per side."""
-
-    bin_index: int
-    stream_index: int = 0
-
 
 @dataclass
 class SamplingTally:
@@ -115,14 +114,6 @@ class SamplingTally:
     @property
     def n_post_selected(self) -> int:
         return self.n_pair_bins - self.n_routing_rejected
-
-    def merge(self, other: "SamplingTally") -> "SamplingTally":
-        return SamplingTally(
-            n_bins=self.n_bins + other.n_bins,
-            n_pair_bins=self.n_pair_bins + other.n_pair_bins,
-            n_multi_bins=self.n_multi_bins + other.n_multi_bins,
-            n_routing_rejected=self.n_routing_rejected + other.n_routing_rejected,
-        )
 
 
 def _zero_singles() -> dict:
@@ -153,18 +144,6 @@ class CoincidenceCounts:
     @property
     def bob_losses(self) -> int:
         return self.n_post_selected_pairs - self.singles["C"] - self.singles["D"]
-
-    def merge(self, other: "CoincidenceCounts") -> "CoincidenceCounts":
-        return CoincidenceCounts(
-            n_post_selected_pairs=self.n_post_selected_pairs
-            + other.n_post_selected_pairs,
-            singles={d: self.singles[d] + other.singles[d] for d in DETECTORS},
-            coincidences={
-                pair: self.coincidences[pair] + other.coincidences[pair]
-                for pair in CROSS_STATION_PAIRS
-            },
-            loss_events=self.loss_events + other.loss_events,
-        )
 
     def validate(self) -> None:
         """Check the count identities; raise ValueError if the ledger broke."""
@@ -230,75 +209,7 @@ class McPointResult:
 
 
 # ---------------------------------------------------------------------------
-# Source sampling
-
-
-def _post_select(
-    draws: np.ndarray, routing: str, routing_rng: np.random.Generator
-) -> tuple[np.ndarray, int, int, int]:
-    """Select pair bins from one chunk of Poisson draws.
-
-    Returns (surviving positions, pair bins, multi-photon bins, rejected).
-    """
-    positions = np.flatnonzero(draws == 2)
-    n_pair = positions.size
-    n_multi = int(np.count_nonzero(draws >= 3))
-    n_rejected = 0
-    if routing == "binomial" and n_pair:
-        sides = routing_rng.integers(0, 2, size=(n_pair, 2))
-        one_per_side = sides[:, 0] != sides[:, 1]
-        n_rejected = n_pair - int(np.count_nonzero(one_per_side))
-        positions = positions[one_per_side]
-    return positions, n_pair, n_multi, n_rejected
-
-
-def _iter_stream_chunks(
-    stream_seq: np.random.SeedSequence,
-    n_bins: int,
-    src: SourceParams,
-    tally: SamplingTally | None,
-) -> Iterator[tuple[int, np.ndarray, np.random.Generator]]:
-    """Yield (chunk start, surviving bin offsets, detection rng) per chunk."""
-    counts_seq, routing_seq, detect_seq = stream_seq.spawn(3)
-    counts_rng = np.random.default_rng(counts_seq)
-    routing_rng = np.random.default_rng(routing_seq)
-    detect_rng = np.random.default_rng(detect_seq)
-    for start in range(0, n_bins, _CHUNK_BINS):
-        size = min(_CHUNK_BINS, n_bins - start)
-        draws = counts_rng.poisson(src.mean_photon_number, size)
-        positions, n_pair, n_multi, n_rejected = _post_select(
-            draws, src.routing, routing_rng
-        )
-        if tally is not None:
-            tally.n_bins += size
-            tally.n_pair_bins += n_pair
-            tally.n_multi_bins += n_multi
-            tally.n_routing_rejected += n_rejected
-        yield start, positions, detect_rng
-
-
-def sample_post_selected_pairs(
-    src: SourceParams, tally: SamplingTally | None = None
-) -> Iterator[PairEvent]:
-    """Stream the post-selected pair events of a run, in bin order per stream.
-
-    If ``tally`` is given, bin-level statistics accumulate into it while the
-    stream is consumed.  Re-running with identical params replays the exact
-    same events.
-    """
-    root = np.random.SeedSequence(src.rng_seed)
-    stream_offset = 0
-    for stream_index, stream_seq in enumerate(root.spawn(src.n_streams)):
-        n_bins = src.bins_in_stream(stream_index)
-        for start, positions, _ in _iter_stream_chunks(stream_seq, n_bins, src, tally):
-            base = stream_offset + start
-            for pos in positions:
-                yield PairEvent(bin_index=base + int(pos), stream_index=stream_index)
-        stream_offset += n_bins
-
-
-# ---------------------------------------------------------------------------
-# Detection
+# Sampling
 
 
 def detection_probabilities(settings: JointSettings) -> dict:
@@ -310,81 +221,49 @@ def detection_probabilities(settings: JointSettings) -> dict:
     return {d: fringe_factor(d, settings) / 4.0 for d in DETECTORS}
 
 
-def detect_pair(
-    settings: JointSettings, pair_event: PairEvent, rng: np.random.Generator
-) -> tuple[str, str]:
-    """Sample the fate of one pair: (A|B|loss) x (C|D|loss).
-
-    The two photons are independent given the settings; ``pair_event`` is
-    accepted for interface symmetry (which pair is being detected does not
-    change the physics).
-    """
-    del pair_event
-    p = detection_probabilities(settings)
-    # Probability conservation is exact by construction; keep it checked in
-    # debug runs.
-    assert p["A"] + p["B"] == 0.5 and p["C"] + p["D"] == 0.5
-    u = rng.random()
-    if u < p["A"]:
-        alice = "A"
-    elif u < p["A"] + p["B"]:
-        alice = "B"
-    else:
-        alice = "loss"
-    v = rng.random()
-    if v < p["C"]:
-        bob = "C"
-    elif v < p["C"] + p["D"]:
-        bob = "D"
-    else:
-        bob = "loss"
-    return alice, bob
-
-
-def _tally_detections(
-    counts: CoincidenceCounts,
-    probabilities: Mapping[str, float],
-    uv: np.ndarray,
-) -> None:
-    """Classify a chunk of pair events and add them to the running counts."""
-    u = uv[:, 0]
-    v = uv[:, 1]
-    hits = {
-        "A": u < probabilities["A"],
-        "C": v < probabilities["C"],
-    }
-    hits["B"] = ~hits["A"] & (u < probabilities["A"] + probabilities["B"])
-    hits["D"] = ~hits["C"] & (v < probabilities["C"] + probabilities["D"])
-    alice_lost = ~(hits["A"] | hits["B"])
-    bob_lost = ~(hits["C"] | hits["D"])
-
-    counts.n_post_selected_pairs += uv.shape[0]
-    for d in DETECTORS:
-        counts.singles[d] += int(np.count_nonzero(hits[d]))
-    for pair in CROSS_STATION_PAIRS:
-        counts.coincidences[pair] += int(np.count_nonzero(hits[pair[0]] & hits[pair[1]]))
-    counts.loss_events += int(np.count_nonzero(alice_lost))
-    counts.loss_events += int(np.count_nonzero(bob_lost))
-
-
 def _accumulate_point(
     settings: JointSettings, src: SourceParams, point_seq: np.random.SeedSequence
 ) -> tuple[CoincidenceCounts, SamplingTally]:
-    """Run the full source + detection chain for one sweep point."""
-    counts = CoincidenceCounts()
-    tally = SamplingTally()
-    probabilities = detection_probabilities(settings)
-    for stream_index, stream_seq in enumerate(point_seq.spawn(src.n_streams)):
-        n_bins = src.bins_in_stream(stream_index)
-        for _, positions, detect_rng in _iter_stream_chunks(
-            stream_seq, n_bins, src, tally
-        ):
-            if positions.size == 0:
-                continue
-            # Row-major (u, v) pairs: same bit-stream order as per-event
-            # scalar detection.
-            uv = detect_rng.random((positions.size, 2))
-            _tally_detections(counts, probabilities, uv)
+    """Draw one sweep point's source and detection totals (module docstring)."""
+    rng = np.random.default_rng(point_seq)
+    mu = src.mean_photon_number
+    p_low = math.exp(-mu) * (1.0 + mu)
+    p_pair = math.exp(-mu) * mu * mu / 2.0
+    p_multi = max(0.0, 1.0 - p_low - p_pair)
+    # numpy takes the last class as the remainder of the others, so the pair
+    # class goes first and keeps its exact mass.
+    n_pair, n_multi, _ = rng.multinomial(
+        src.n_time_bins, [p_pair, p_multi, p_low]
+    ).tolist()
+    n_rejected = int(rng.binomial(n_pair, 0.5)) if src.routing == "binomial" else 0
+    n_post = n_pair - n_rejected
+
+    p = detection_probabilities(settings)
+    alice = (p["A"], p["B"], 0.5)
+    bob = (p["C"], p["D"], 0.5)
+    # Rows: Alice's photon at A, B or absorbed (x); columns: Bob's at C, D, x.
+    (a_c, a_d, a_x), (b_c, b_d, b_x), (x_c, x_d, x_x) = (
+        rng.multinomial(n_post, [pa * pb for pa in alice for pb in bob])
+        .reshape(3, 3)
+        .tolist()
+    )
+    counts = CoincidenceCounts(
+        n_post_selected_pairs=n_post,
+        singles={
+            "A": a_c + a_d + a_x,
+            "B": b_c + b_d + b_x,
+            "C": a_c + b_c + x_c,
+            "D": a_d + b_d + x_d,
+        },
+        coincidences={"AD": a_d, "BC": b_c, "AC": a_c, "BD": b_d},
+        loss_events=(x_c + x_d + x_x) + (a_x + b_x + x_x),
+    )
+    tally = SamplingTally(
+        n_bins=src.n_time_bins,
+        n_pair_bins=n_pair,
+        n_multi_bins=n_multi,
+        n_routing_rejected=n_rejected,
+    )
     return counts, tally
 
 
@@ -447,9 +326,9 @@ def run_experiment(
 ) -> list[McPointResult]:
     """Monte Carlo estimates over a sweep, aligned point-for-point with it.
 
-    Deterministic for fixed (seed, stream count): every sweep point gets its
-    own child seed, so the grid can be evaluated in any order or subset
-    without changing any point's result.
+    Deterministic for a fixed seed: every sweep point gets its own child
+    seed by its position in the sweep, so no point's result depends on the
+    settings of another.
     """
     points: Sequence[JointSettings] = list(settings_sweep)
     if not points:

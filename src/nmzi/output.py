@@ -13,12 +13,18 @@ and, when Monte Carlo results ride along:
 grid that reaches the true maximum.  Floats are printed with 17 significant
 digits (full round-trip precision) and rows end with a bare newline, making
 the byte stream a pure function of the records.
+
+Files are written to a temporary name in the target directory and renamed
+into place, so an interrupted run leaves the previous file (or none), never
+a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from typing import Sequence
+import os
+from typing import Callable, Sequence, TextIO
 
 from .correlation import CorrelationRecord
 from .montecarlo import McPointResult
@@ -90,18 +96,40 @@ def csv_rows(
     return rows
 
 
+def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
+    """Run ``write`` on a fresh file beside ``path``, then rename it over ``path``.
+
+    On any failure the temporary file is removed and ``path`` is untouched.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        # O_EXCL: never write through an existing file or link of that name.
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="ascii", newline="") as handle:
+                write(handle)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def emit_csv(
     records: Sequence[CorrelationRecord],
     path,
     mc_results: Sequence[McPointResult] | None = None,
 ) -> None:
-    """Write the sweep to ``path``; validation happens before the file opens."""
+    """Write the sweep to ``path``; validation happens before any file opens."""
     rows = csv_rows(records, mc_results)
-    try:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(rows)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    _write_atomically(
+        path,
+        lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows),
+        "CSV",
+    )
 
 
 # Column positions (1-based, for gnuplot) of the plottable quantities.
@@ -147,8 +175,4 @@ def emit_gnuplot(
     csv_path: str, script_path, axis_names: Sequence[str], with_mc: bool
 ) -> None:
     text = gnuplot_script(csv_path, axis_names, with_mc)
-    try:
-        with open(script_path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write gnuplot script to {script_path}: {exc}") from exc
+    _write_atomically(script_path, lambda handle: handle.write(text), "gnuplot script")

@@ -25,11 +25,9 @@ from nmzi.correlation import (
     synchronized_settings,
 )
 from nmzi.montecarlo import (
-    SamplingTally,
     SourceParams,
     detection_probabilities,
     run_experiment,
-    sample_post_selected_pairs,
 )
 from nmzi.output import csv_rows
 from nmzi.station import (
@@ -344,9 +342,7 @@ def test_8_pair_bin_fraction_matches_poisson_mass(report):
         source = SourceParams(
             mean_photon_number=mu, n_time_bins=2_000_000, rng_seed=3
         )
-        tally = SamplingTally()
-        for _ in sample_post_selected_pairs(source, tally):
-            pass
+        tally = run_experiment([synchronized_settings(1.0, QUARTER_TURN)], source)[0].tally
         p2 = math.exp(-mu) * mu * mu / 2.0
         sigma = math.sqrt(source.n_time_bins * p2 * (1.0 - p2))
         worst_z = max(
@@ -378,8 +374,6 @@ def test_9_identical_runs_are_byte_identical(report, tmp_path, capsys):
             "200000",
             "--seed",
             "77",
-            "--streams",
-            "3",
             "--out",
             str(out_path),
         ]
@@ -403,7 +397,7 @@ def test_9_identical_runs_are_byte_identical(report, tmp_path, capsys):
     report(
         9,
         "same configuration and seed reproduce the output byte for byte, "
-        "multi-stream sampling included",
+        "photon counting included",
         passed,
         f"monte carlo identical: {mc_identical}, analytic identical: "
         f"{analytic_identical}",

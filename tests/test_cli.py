@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
+import functools
 import math
+import time
 
 import pytest
 
+from nmzi import cli
 from nmzi.cli import main
+from nmzi.elements import ElementConventions
 
 QUARTER = math.pi / 4.0
 
 
-def _run_mc(out_path, seed="11", streams="3"):
+def _run_mc(out_path, seed="11"):
     return main(
         [
             "montecarlo",
@@ -23,8 +27,6 @@ def _run_mc(out_path, seed="11", streams="3"):
             "40000",
             "--seed",
             seed,
-            "--streams",
-            streams,
             "--out",
             str(out_path),
         ]
@@ -105,6 +107,10 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             "mean_photon_number must be positive",
         ),
         (["frobnicate"], "usage error"),
+        (
+            ["montecarlo", "--preset", "fig2", "--bins", str(10**20)],
+            "below 2**63",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -122,8 +128,18 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
     assert lines[-1] == "all 8 checks passed"
 
 
-def test_verify_detects_corrupted_conventions(capsys):
-    code = main(["verify", "--skip-montecarlo", "--corrupt-conventions"])
+def test_verify_detects_corrupted_conventions(capsys, monkeypatch):
+    # Negative control: break the polarizing splitter's reflection phase and
+    # check that the CLI reports the failed check with exit code 2.
+    monkeypatch.setattr(
+        cli,
+        "run_verification",
+        functools.partial(
+            cli.run_verification,
+            conventions=ElementConventions(pbs_reflection_phase=1.0),
+        ),
+    )
+    code = main(["verify", "--skip-montecarlo"])
     assert code == 2
     out = capsys.readouterr().out
     assert "FAIL  composed station matches closed form" in out
@@ -163,3 +179,29 @@ def test_gnuplot_script_lands_next_to_csv(tmp_path, capsys):
     assert script.exists()
     assert str(out) in script.read_text()
     assert str(script) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "sweeps",
+    [["phi=0:1:1e-12"], ["phi=0:1:1e-4", "psi=0:1:1e-4"]],
+    ids=["one_axis", "two_axes"],
+)
+def test_oversized_grid_exits_one_at_once(sweeps, tmp_path, capsys):
+    argv = ["montecarlo", "--out", str(tmp_path / "x.csv")]
+    for item in sweeps:
+        argv += ["--sweep", item]
+    started = time.perf_counter()
+    assert main(argv) == 1
+    # Counting the points takes microseconds; building 10^8 would take minutes.
+    assert time.perf_counter() - started < 5.0
+    assert "cap of 10000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_removed_streams_key_exits_one_and_names_it(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = fig2\nstreams = 4\n")
+    assert main(["montecarlo", "--config", str(cfg)]) == 1
+    assert "config key 'streams' was removed" in capsys.readouterr().err
+    assert main(["montecarlo", "--preset", "fig2", "--streams", "4"]) == 1
+    assert "--streams" in capsys.readouterr().err

@@ -128,7 +128,6 @@ def test_montecarlo_defaults():
     assert config.source.mean_photon_number == 0.05
     assert config.source.n_time_bins == 1_000_000
     assert config.source.rng_seed == 0
-    assert config.source.n_streams == 1
     assert config.source.routing == "paired"
     assert config.normalization == "analytic"
 
@@ -138,6 +137,21 @@ def test_source_validation_surfaces_as_config_error():
         parse_config("mode = montecarlo\npreset = fig2\nmu = -1\n")
     with pytest.raises(ConfigError, match="routing"):
         parse_config("mode = montecarlo\npreset = fig2\nrouting = quantum\n")
+
+
+def test_removed_streams_key_is_named():
+    with pytest.raises(ConfigError, match="'streams' was removed"):
+        parse_config("mode = montecarlo\npreset = fig2\nstreams = 4\n")
+
+
+def test_grid_cap_is_a_config_error():
+    with pytest.raises(ConfigError, match="sweep.phi.*cap of 10000000"):
+        parse_config("mode = analytic\nsweep.phi = 0:1:1e-9\n")
+    config = parse_config(
+        "mode = analytic\nsweep.phi = 0:1:1e-4\nsweep.psi = 0:1:1e-4\n"
+    )
+    with pytest.raises(ConfigError, match="100020001 grid points"):
+        build_sweep_spec(config)
 
 
 def test_axis_declaration_order_preserved():
@@ -160,7 +174,7 @@ def test_axis_declaration_order_preserved():
         ),
         parse_config(
             "mode = montecarlo\npreset = fig3\nmu = 0.125\nbins = 123456\n"
-            "seed = 99\nstreams = 4\nrouting = binomial\n"
+            "seed = 99\nrouting = binomial\n"
             "normalization = measured\nout = x.csv\n"
         ),
         parse_config(

@@ -20,6 +20,7 @@ from nmzi.correlation import (
     local_basis_sum,
     record_at,
     sweep,
+    sweep_settings,
     synchronized_correlation,
     synchronized_settings,
 )
@@ -235,6 +236,20 @@ def test_sweep_rejects_bad_axes():
         SweepAxis("bogus", 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         sweep(SweepSpec(axes=(), fixed={}))
+
+
+def test_point_count_is_known_before_expansion():
+    for spec in PRESETS.values():
+        assert spec.n_points == len(sweep_settings(spec))
+    assert SweepAxis("phi", 0.0, 1.0, 0.25).count == 5
+    # 10^7 + 1 points on one axis, or 10^8 over two: refused, nothing built.
+    with pytest.raises(ValueError, match="cap"):
+        SweepAxis("phi", 0.0, 1.0, 1e-7)
+    with pytest.raises(ValueError, match="cap"):
+        SweepAxis("phi", -1e308, 1e308, 1.0)
+    wide = SweepAxis("phi", 0.0, 1.0, 1e-4)
+    with pytest.raises(ValueError, match="100020001 grid points"):
+        SweepSpec(axes=(wide, SweepAxis("psi", 0.0, 1.0, 1e-4)))
 
 
 def test_sweep_rejects_conflicting_aliases():

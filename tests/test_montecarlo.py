@@ -1,15 +1,14 @@
 """Tests for the photon-counting Monte Carlo: source statistics, detection
 sampling, tally bookkeeping, and convergence of correlation estimates to the
-closed forms.
+closed forms.  ``test_sampler_reference.py`` compares the sampler with a
+bin-by-bin reference.
 
 Statistical checks use fixed seeds and 4-sigma (single draw) or ensemble
 (many seeds) criteria, so they are deterministic in practice.
 """
 
-import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
@@ -25,14 +24,10 @@ from nmzi.montecarlo import (
     CoincidenceCounts,
     EstimatedCorrelation,
     McPointResult,
-    PairEvent,
-    SamplingTally,
     SourceParams,
-    detect_pair,
     detection_probabilities,
     estimate_correlation,
     run_experiment,
-    sample_post_selected_pairs,
 )
 
 
@@ -50,6 +45,17 @@ def port_probability(phase: float, pol: float, sign: float) -> float:
     return (1.0 + sign * math.sin(2.0 * pol) * math.cos(phase)) / 4.0
 
 
+def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
+    src = SourceParams(
+        mean_photon_number=mu, n_time_bins=n_bins, rng_seed=seed, **kw
+    )
+    return run_experiment([settings], src)[0]
+
+
+# Source statistics do not depend on the detector settings.
+ANY_POINT = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4, i0=1.0)
+
+
 # ---------------------------------------------------------------------------
 # SourceParams validation
 
@@ -64,7 +70,7 @@ def test_source_params_rejects_bad_values():
     with pytest.raises(ValueError):
         SourceParams(mean_photon_number=0.05, n_time_bins=0)
     with pytest.raises(ValueError):
-        SourceParams(mean_photon_number=0.05, n_time_bins=100, n_streams=0)
+        SourceParams(mean_photon_number=0.05, n_time_bins=2**63)
     with pytest.raises(ValueError):
         SourceParams(mean_photon_number=0.05, n_time_bins=100, rng_seed=-1)
     with pytest.raises(ValueError):
@@ -91,25 +97,23 @@ def test_source_params_warns_outside_attenuated_regime():
 
 def test_pair_rate_matches_poisson_mass():
     mu, n_bins = 0.05, 1_000_000
-    src = SourceParams(mean_photon_number=mu, n_time_bins=n_bins, rng_seed=11)
-    tally = SamplingTally()
-    events = list(sample_post_selected_pairs(src, tally))
+    result = run_single_point(ANY_POINT, mu=mu, n_bins=n_bins, seed=11)
+    tally = result.tally
+    n_pairs = result.counts.n_post_selected_pairs
     p2 = pair_bin_probability(mu)
     expected = n_bins * p2
     sigma = math.sqrt(n_bins * p2 * (1.0 - p2))
-    assert abs(len(events) - expected) < 4.0 * sigma
+    assert abs(n_pairs - expected) < 4.0 * sigma
     assert tally.n_bins == n_bins
-    assert tally.n_pair_bins == len(events)
+    assert tally.n_pair_bins == n_pairs
     assert tally.n_routing_rejected == 0
-    assert tally.n_post_selected == len(events)
+    assert tally.n_post_selected == n_pairs
 
 
 @pytest.mark.parametrize("mu", [0.01, 0.05, 0.2])
 def test_post_selection_fraction_across_regimes(mu):
     n_bins = 1_000_000
-    src = SourceParams(mean_photon_number=mu, n_time_bins=n_bins, rng_seed=7)
-    tally = SamplingTally()
-    n_pairs = sum(1 for _ in sample_post_selected_pairs(src, tally))
+    n_pairs = run_single_point(ANY_POINT, mu=mu, n_bins=n_bins, seed=7).tally.n_pair_bins
     p2 = pair_bin_probability(mu)
     sigma = math.sqrt(n_bins * p2 * (1.0 - p2))
     assert abs(n_pairs - n_bins * p2) < 4.0 * sigma
@@ -121,72 +125,39 @@ def test_post_selection_fraction_across_regimes(mu):
 
 def test_multi_photon_bins_counted_separately():
     mu, n_bins = 0.2, 1_000_000
-    src = SourceParams(mean_photon_number=mu, n_time_bins=n_bins, rng_seed=23)
-    tally = SamplingTally()
-    for _ in sample_post_selected_pairs(src, tally):
-        pass
+    tally = run_single_point(ANY_POINT, mu=mu, n_bins=n_bins, seed=23).tally
     p_multi = 1.0 - math.exp(-mu) * (1.0 + mu + mu * mu / 2.0)
     sigma = math.sqrt(n_bins * p_multi * (1.0 - p_multi))
     assert abs(tally.n_multi_bins - n_bins * p_multi) < 4.0 * sigma
-    # Multi-photon bins never become pair events.
+    # Multi-photon bins never become pairs.
     assert tally.n_pair_bins + tally.n_multi_bins <= n_bins
-
-
-def test_event_stream_deterministic():
-    src = SourceParams(mean_photon_number=0.05, n_time_bins=200_000, rng_seed=42)
-    first = list(itertools.islice(sample_post_selected_pairs(src), 300))
-    second = list(itertools.islice(sample_post_selected_pairs(src), 300))
-    assert first == second
-    assert all(isinstance(ev, PairEvent) for ev in first)
-
-    multi = SourceParams(
-        mean_photon_number=0.05, n_time_bins=200_000, rng_seed=42, n_streams=3
-    )
-    a = list(sample_post_selected_pairs(multi))
-    b = list(sample_post_selected_pairs(multi))
-    assert a == b
-
-
-def test_event_bin_indices_are_valid():
-    n_bins = 300_000
-    src = SourceParams(
-        mean_photon_number=0.1, n_time_bins=n_bins, rng_seed=3, n_streams=4
-    )
-    tally = SamplingTally()
-    events = list(sample_post_selected_pairs(src, tally))
-    assert tally.n_bins == n_bins
-    indices = [ev.bin_index for ev in events]
-    assert len(set(indices)) == len(indices)
-    assert all(0 <= i < n_bins for i in indices)
-    assert {ev.stream_index for ev in events} <= set(range(4))
-    # Within each stream the indices arrive in increasing bin order.
-    for k in range(4):
-        per = [ev.bin_index for ev in events if ev.stream_index == k]
-        assert per == sorted(per)
 
 
 def test_binomial_routing_variant():
     mu, n_bins = 0.2, 400_000
-    src = SourceParams(
-        mean_photon_number=mu, n_time_bins=n_bins, rng_seed=5, routing="binomial"
+    result = run_single_point(
+        ANY_POINT, mu=mu, n_bins=n_bins, seed=5, routing="binomial"
     )
-    tally = SamplingTally()
-    events = list(sample_post_selected_pairs(src, tally))
+    tally = result.tally
+    n_pairs = result.counts.n_post_selected_pairs
     # Each photon of the pair picks a station independently, so half of the
     # two-photon bins put both photons on the same side and are rejected.
     assert tally.n_routing_rejected > 0
     sigma = math.sqrt(tally.n_pair_bins * 0.25)
     assert abs(tally.n_routing_rejected - tally.n_pair_bins / 2.0) < 4.0 * sigma
-    assert len(events) == tally.n_pair_bins - tally.n_routing_rejected
-    assert tally.n_post_selected == len(events)
+    assert n_pairs == tally.n_pair_bins - tally.n_routing_rejected
+    assert tally.n_post_selected == n_pairs
 
-    # And the stream stays deterministic.
-    again = list(sample_post_selected_pairs(src))
-    assert events == again
+    # And the draws stay deterministic.
+    again = run_single_point(
+        ANY_POINT, mu=mu, n_bins=n_bins, seed=5, routing="binomial"
+    )
+    assert again.tally == tally
+    assert again.counts == result.counts
 
 
 # ---------------------------------------------------------------------------
-# Detection probabilities and single-pair detection
+# Detection probabilities and sampled detection
 
 
 @given(
@@ -210,58 +181,49 @@ def test_detection_probabilities_conserve_exactly(phi, psi, xi, theta):
     assert abs(p["D"] - port_probability(psi, theta, +1.0)) < 1e-12
 
 
-def test_detect_pair_dark_port_never_fires():
+def test_dark_port_never_fires():
     s = JointSettings(
         phi_a=0.0, psi_b=0.0, xi_a=QUARTER_TURN, theta_b=QUARTER_TURN, i0=1.0
     )
-    rng = np.random.default_rng(17)
-    n = 20_000
-    outcomes = [detect_pair(s, PairEvent(i), rng) for i in range(n)]
-    alice = [a for a, _ in outcomes]
-    bob = [b for _, b in outcomes]
-    assert alice.count("A") == 0
-    assert bob.count("C") == 0
+    # About 20 000 pairs.
+    counts = run_single_point(s, n_bins=1_220_000, seed=17).counts
+    n = counts.n_post_selected_pairs
+    assert counts.singles["A"] == 0
+    assert counts.singles["C"] == 0
     sigma = binom_sigma(0.5, n)
-    assert abs(alice.count("B") / n - 0.5) < 4.0 * sigma
-    assert abs(alice.count("loss") / n - 0.5) < 4.0 * sigma
-    assert abs(bob.count("D") / n - 0.5) < 4.0 * sigma
+    assert abs(counts.singles["B"] / n - 0.5) < 4.0 * sigma
+    assert abs(counts.alice_losses / n - 0.5) < 4.0 * sigma
+    assert abs(counts.singles["D"] / n - 0.5) < 4.0 * sigma
 
 
-def test_detect_pair_flat_at_zero_polarizer():
+def test_detection_flat_at_zero_polarizer():
     s = JointSettings(phi_a=1.234, psi_b=2.345, xi_a=0.0, theta_b=0.0, i0=1.0)
-    rng = np.random.default_rng(29)
-    n = 20_000
-    outcomes = [detect_pair(s, PairEvent(i), rng) for i in range(n)]
+    counts = run_single_point(s, n_bins=1_220_000, seed=29).counts
+    n = counts.n_post_selected_pairs
     sigma = binom_sigma(0.25, n)
-    for side, names in ((0, ("A", "B")), (1, ("C", "D"))):
-        for name in names:
-            rate = sum(1 for o in outcomes if o[side] == name) / n
-            assert abs(rate - 0.25) < 4.0 * sigma
+    for name in DETECTORS:
+        assert abs(counts.singles[name] / n - 0.25) < 4.0 * sigma
 
 
 @given(
     phi=st.floats(-7.0, 7.0),
     xi=st.floats(-7.0, 7.0),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    routing=st.sampled_from(["paired", "binomial"]),
 )
 @hyp_settings(max_examples=50)
-def test_detect_pair_outcomes_are_well_formed(phi, xi, seed):
+def test_sampled_counts_are_well_formed(phi, xi, seed, routing):
     s = JointSettings(phi_a=phi, psi_b=0.3, xi_a=xi, theta_b=0.7, i0=1.0)
-    rng = np.random.default_rng(seed)
-    alice, bob = detect_pair(s, PairEvent(0), rng)
-    assert alice in ("A", "B", "loss")
-    assert bob in ("C", "D", "loss")
+    result = run_single_point(s, n_bins=20_000, seed=seed, routing=routing)
+    result.counts.validate()
+    tally = result.tally
+    assert tally.n_bins == 20_000
+    assert tally.n_pair_bins + tally.n_multi_bins <= tally.n_bins
+    assert result.counts.n_post_selected_pairs == tally.n_post_selected >= 0
 
 
 # ---------------------------------------------------------------------------
 # Tally bookkeeping
-
-
-def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
-    src = SourceParams(
-        mean_photon_number=mu, n_time_bins=n_bins, rng_seed=seed, **kw
-    )
-    return run_experiment([settings], src)[0]
 
 
 def test_counts_identities_hold():
@@ -279,24 +241,6 @@ def test_counts_identities_hold():
     assert both_detected <= n
     # Every non-coincidence pair lost at least one photon, at most two.
     assert n - both_detected <= c.loss_events <= 2 * (n - both_detected)
-
-
-def test_counts_merge_sums_fields():
-    s = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4, i0=1.0)
-    c1 = run_single_point(s, seed=1).counts
-    c2 = run_single_point(s, seed=2).counts
-    merged = c1.merge(c2)
-    assert merged.n_post_selected_pairs == (
-        c1.n_post_selected_pairs + c2.n_post_selected_pairs
-    )
-    for d in DETECTORS:
-        assert merged.singles[d] == c1.singles[d] + c2.singles[d]
-    for pair in CROSS_STATION_PAIRS:
-        assert merged.coincidences[pair] == (
-            c1.coincidences[pair] + c2.coincidences[pair]
-        )
-    assert merged.loss_events == c1.loss_events + c2.loss_events
-    merged.validate()
 
 
 def test_validate_catches_corrupted_counts():
@@ -427,9 +371,7 @@ def test_run_experiment_preserves_grid_and_determinism():
         synchronized_settings(rho, QUARTER_TURN)
         for rho in (0.4, 1.2, 2.0, 2.8)
     ]
-    src = SourceParams(
-        mean_photon_number=0.2, n_time_bins=200_000, rng_seed=91, n_streams=4
-    )
+    src = SourceParams(mean_photon_number=0.2, n_time_bins=200_000, rng_seed=91)
     first = run_experiment(points, src)
     second = run_experiment(points, src)
     assert [r.settings for r in first] == points
@@ -443,33 +385,17 @@ def test_run_experiment_preserves_grid_and_determinism():
     for r in first:
         assert isinstance(r, McPointResult)
         assert r.tally.n_bins == 200_000
+    # Each point draws from its own child seed, so a shorter sweep repeats
+    # the leading points exactly.
+    prefix = run_experiment(points[:2], src)
+    assert [r.counts for r in prefix] == [r.counts for r in first[:2]]
+    assert [r.tally for r in prefix] == [r.tally for r in first[:2]]
 
 
 def test_run_experiment_rejects_empty_sweep():
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1000, rng_seed=1)
     with pytest.raises(ValueError):
         run_experiment([], src)
-
-
-def test_stream_count_changes_partition_not_totals():
-    point = synchronized_settings(1.0, QUARTER_TURN)
-    results = {}
-    for n_streams in (1, 3, 7):
-        src = SourceParams(
-            mean_photon_number=0.2,
-            n_time_bins=300_000,
-            rng_seed=13,
-            n_streams=n_streams,
-        )
-        r = run_experiment([point], src)[0]
-        assert r.tally.n_bins == 300_000
-        results[n_streams] = r
-    # Different partitions are allowed to differ statistically but must all
-    # agree with the analytic value within error bars.
-    truth = synchronized_correlation(1.0)
-    for r in results.values():
-        est = r.estimates["AD"]
-        assert abs(est.value - truth) <= 5.0 * est.std_error
 
 
 # ---------------------------------------------------------------------------

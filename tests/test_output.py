@@ -114,12 +114,10 @@ def test_byte_determinism_analytic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_byte_determinism_multistream_mc(tmp_path):
+def test_byte_determinism_mc(tmp_path):
     settings = sweep_settings(PRESETS["fig2"])[:8]
     records = sweep(PRESETS["fig2"])[:8]
-    src = SourceParams(
-        mean_photon_number=0.1, n_time_bins=100_000, rng_seed=21, n_streams=3
-    )
+    src = SourceParams(mean_photon_number=0.1, n_time_bins=100_000, rng_seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(records, a, run_experiment(settings, src))
     emit_csv(records, b, run_experiment(settings, src))
@@ -149,6 +147,47 @@ def test_io_error_includes_path(tmp_path):
     bad = tmp_path / "missing_dir" / "x.csv"
     with pytest.raises(OSError, match="cannot write CSV to .*missing_dir"):
         emit_csv(records, bad)
+
+
+@pytest.mark.parametrize(
+    "error, raised, match",
+    [
+        (RuntimeError("interrupted"), RuntimeError, "interrupted"),
+        (OSError(28, "No space left on device"), OSError, "cannot write CSV to"),
+    ],
+    ids=["interrupt", "disk_full"],
+)
+def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, error, raised, match):
+    path = tmp_path / "x.csv"
+    records = sweep(PRESETS["fig2"])
+    emit_csv(records[:3], path)
+    before = path.read_bytes()
+
+    real_writer = csv.writer
+
+    class HalfThenFail:
+        def __init__(self, handle, **kwargs):
+            self.inner = real_writer(handle, **kwargs)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            self.inner.writerows(rows[: len(rows) // 2])
+            raise error
+
+    monkeypatch.setattr(csv, "writer", HalfThenFail)
+    with pytest.raises(raised, match=match):
+        emit_csv(records, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_rewrite_replaces_existing_file(tmp_path):
+    path = tmp_path / "x.csv"
+    records = sweep(PRESETS["fig2"])
+    emit_csv(records, path)
+    emit_csv(records[:3], path)
+    assert len(path.read_text().splitlines()) == 1 + 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_gnuplot_script_single_axis(tmp_path):
