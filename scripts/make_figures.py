@@ -3,19 +3,19 @@
 
 Writes ``fig2.csv`` (synchronized phase scan), ``fig3.csv`` (independent
 phase map), and ``fig4.csv`` (phase versus polarizer map) into ``--out-dir``,
-each with a matching ``.gp`` plotting script.  With ``--with-mc`` the
-synchronized scan additionally carries Monte Carlo estimates side by side
-with the closed forms, which is the plot worth staring at: the error bars
-should straddle the analytic curve.  The Monte Carlo cost per point does not
-grow with ``--bins``, so ``--with-mc`` adds well under a second.
+each with a matching ``.gp`` plotting script, by running the ``nmzi`` command
+line once per preset.  With ``--with-mc`` the synchronized scan additionally
+carries Monte Carlo estimates side by side with the closed forms, which is
+the plot worth staring at: the error bars should straddle the analytic
+curve.  The Monte Carlo cost per point does not grow with ``--bins``, so
+``--with-mc`` adds well under a second.
 """
 
 import argparse
 import os
 
-from nmzi.correlation import PRESETS, record_at, sweep_settings
-from nmzi.montecarlo import SourceParams, run_experiment
-from nmzi.output import emit_csv, emit_gnuplot
+from nmzi.cli import main as nmzi_main
+from nmzi.correlation import PRESETS
 
 
 def main() -> int:
@@ -35,25 +35,15 @@ def main() -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     for name, spec in PRESETS.items():
-        settings = sweep_settings(spec)
-        records = [record_at(s) for s in settings]
-        mc_results = None
-        if args.with_mc and len(spec.axes) == 1:
-            source = SourceParams(
-                mean_photon_number=args.mu,
-                n_time_bins=args.bins,
-                rng_seed=args.seed,
-            )
-            mc_results = run_experiment(settings, source)
         csv_path = os.path.join(args.out_dir, f"{name}.csv")
-        emit_csv(records, csv_path, mc_results)
-        emit_gnuplot(
-            csv_path,
-            os.path.join(args.out_dir, f"{name}.gp"),
-            [axis.name for axis in spec.axes],
-            mc_results is not None,
-        )
-        print(f"{name}: {len(records)} points -> {csv_path}")
+        argv = ["analytic", "--preset", name, "--out", csv_path, "--gnuplot"]
+        if args.with_mc and len(spec.axes) == 1:
+            argv[0] = "montecarlo"
+            argv += ["--bins", str(args.bins), "--mu", str(args.mu)]
+            argv += ["--seed", str(args.seed)]
+        code = nmzi_main(argv)
+        if code:
+            return code
     return 0
 
 

@@ -13,14 +13,15 @@ import argparse
 import math
 import statistics
 
-from nmzi.correlation import QUARTER_TURN, general_cross_correlation, synchronized_settings
+from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
 from nmzi.montecarlo import SourceParams, run_experiment
 
 
 def _estimate(rho: float, mu: float, bins: int, seed: int):
     settings = synchronized_settings(rho, QUARTER_TURN)
-    result = run_experiment([settings], SourceParams(mu, bins, rng_seed=seed))[0]
-    return result.estimates["AD"], general_cross_correlation(settings, "AD")
+    result = run_experiment(settings, SourceParams(mu, bins, rng_seed=seed))[0]
+    f_a, _, _, f_d = fringe_factors(settings)[0].tolist()
+    return result.estimates["AD"], f_a * f_d
 
 
 def main() -> int:

@@ -166,7 +166,7 @@ def _resolve_out_path(config: RunConfig) -> str:
 def _run_sweep_mode(config: RunConfig) -> int:
     spec = build_sweep_spec(config)
     settings = sweep_settings(spec)
-    records = [record_at(s) for s in settings]
+    records = record_at(settings)
     mc_results = None
     if config.mode == "montecarlo":
         source = config.source or SourceParams(
@@ -174,7 +174,7 @@ def _run_sweep_mode(config: RunConfig) -> int:
         )
         mc_results = run_experiment(settings, source, config.normalization)
     out_path = _resolve_out_path(config)
-    emit_csv(records, out_path, mc_results)
+    emit_csv(settings, records, out_path, mc_results)
     written = [out_path]
     if config.gnuplot:
         script_path = os.path.splitext(out_path)[0] + ".gp"

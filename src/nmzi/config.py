@@ -213,15 +213,6 @@ def parse_config(
                     f"got {':'.join(pieces)!r}"
                 )
             start, stop, step = (to_radians(_as_float(key, p)) for p in pieces)
-            if step <= 0.0:
-                raise ConfigError(
-                    f"config key {key!r}: step must be positive, got {step}"
-                )
-            if start >= stop:
-                raise ConfigError(
-                    f"config key {key!r}: start must be below stop, "
-                    f"got [{start}, {stop}]"
-                )
             try:
                 axes.append(SweepAxis(param, start, stop, step))
             except ValueError as exc:
@@ -304,14 +295,14 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
         base = PRESETS[config.preset]
         if not config.fixed:
             return base
-        merged = dict(base.fixed)
-        merged.update(config.fixed_values)
-        return SweepSpec(axes=base.axes, fixed=merged, i0=base.i0)
-    if not config.sweep_axes:
+        axes, fixed = base.axes, {**base.fixed, **config.fixed_values}
+    elif config.sweep_axes:
+        axes, fixed = config.sweep_axes, config.fixed_values
+    else:
         raise ConfigError(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
     try:
-        return SweepSpec(axes=config.sweep_axes, fixed=config.fixed_values)
+        return SweepSpec(axes=axes, fixed=fixed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

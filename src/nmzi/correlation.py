@@ -1,16 +1,21 @@
-"""Closed-form detector intensities and cross-station correlation functions.
+"""Closed-form detector intensities and cross-station correlations, columnwise.
 
-With Alice's arm phase ``phi`` and polarizer angle ``xi`` (Bob: ``psi``,
-``theta``), each detector sees a fringe factor
+A sweep is an ``(N, 4)`` float64 array whose columns are Alice's arm phase
+``phi``, Bob's arm phase ``psi``, Alice's polarizer angle ``xi`` and Bob's
+polarizer angle ``theta`` (``SETTINGS_COLUMNS``).  Each detector sees a
+fringe factor
 
     A: 1 - sin(2 xi) cos(phi)      B: 1 + sin(2 xi) cos(phi)
     C: 1 - sin(2 theta) cos(psi)   D: 1 + sin(2 theta) cos(psi)
 
-and an intensity of ``i0/4`` times its factor.  The normalized coincidence
-correlation of two cross-station detectors is the product of their factors,
-i.e. the intensity product divided by the phase-averaged singles ``(i0/4)^2``.
-Its range is [0, 4]; in the synchronized case ``phi = psi = rho`` with
-``xi = theta = +-pi/4`` it collapses to ``sin^2(rho)``.
+which :func:`fringe_factors` evaluates for every row at once; everything else
+derives from it.  A detector's intensity per unit input is a quarter of its
+factor.  The normalized coincidence correlation of two cross-station
+detectors is the product of their factors, i.e. the intensity product divided
+by the phase-averaged singles ``(1/4)^2``; its range is [0, 4].  In the
+synchronized case ``phi = psi = rho`` with ``xi = theta = +-pi/4`` it
+collapses to ``sin^2(rho)``, and summing a detector's intensity over the two
+polarizer bases ``+-pi/4`` gives ``1/2`` at every phase.
 
 The grid sweeps here regenerate the standard data sets: a synchronized-phase
 scan, a two-phase map, and a phase-versus-polarizer map.
@@ -20,16 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping
 
-from .elements import ALGEBRA_TOL
+import numpy as np
 
 QUARTER_TURN = math.pi / 4
 
 # Detector pairs with one detector per station; correlations are defined only
 # across the two parties.
 CROSS_STATION_PAIRS = ("AD", "BC", "AC", "BD")
+
+# Columns of a settings array, and of the array record_at returns.
+SETTINGS_COLUMNS = ("phi", "psi", "xi", "theta")
+RECORD_COLUMNS = ("i_A", "i_B", "i_C", "i_D", "R_AD", "R_BC")
 
 # Grid steps used by the named presets: fine enough to resolve every fringe
 # feature at desk scale.
@@ -40,118 +48,36 @@ _STEP_2D = math.pi / 50
 # most 10 201; the cap keeps a mistyped step from exhausting memory.
 MAX_GRID_POINTS = 10_000_000
 
-_ALICE_DETECTORS = frozenset("AB")
-_BOB_DETECTORS = frozenset("CD")
-
 # Sweepable parameters; rho and zeta are synchronized aliases that drive both
 # stations' phase or polarizer angle at once.
 SWEEP_PARAMS = ("phi", "psi", "xi", "theta", "rho", "zeta")
 _ALIAS_TARGETS = {"rho": ("phi", "psi"), "zeta": ("xi", "theta")}
 
 
-@dataclass(frozen=True)
-class JointSettings:
-    """Settings of both stations plus the input intensity per photon."""
-
-    phi_a: float
-    psi_b: float
-    xi_a: float
-    theta_b: float
-    i0: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("phi_a", "psi_b", "xi_a", "theta_b", "i0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.i0 < 0.0:
-            raise ValueError(f"i0 must be non-negative, got {self.i0}")
+def synchronized_settings(rho, zeta: float) -> np.ndarray:
+    """Rows ``(rho, rho, zeta, zeta)``: both stations driven identically."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    zeta = np.full_like(rho, zeta)
+    return np.stack([rho, rho, zeta, zeta], axis=1)
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
-    """One sweep point: settings, four intensities, cross correlations."""
-
-    settings: JointSettings
-    i_a: float
-    i_b: float
-    i_c: float
-    i_d: float
-    r_ad: float
-    r_bc: float
+def fringe_factors(settings: np.ndarray) -> np.ndarray:
+    """Fringe factors of detectors (A, B, C, D), in [0, 2], one row per setting."""
+    phi, psi, xi, theta = settings.T
+    alice = np.sin(2.0 * xi) * np.cos(phi)
+    bob = np.sin(2.0 * theta) * np.cos(psi)
+    return np.stack([1.0 - alice, 1.0 + alice, 1.0 - bob, 1.0 + bob], axis=1)
 
 
-def synchronized_settings(rho: float, zeta: float, i0: float = 1.0) -> JointSettings:
-    """Both stations driven identically: phase ``rho``, polarizer ``zeta``."""
-    return JointSettings(phi_a=rho, psi_b=rho, xi_a=zeta, theta_b=zeta, i0=i0)
+def record_at(settings: np.ndarray) -> np.ndarray:
+    """The computed CSV columns (``RECORD_COLUMNS``) for every row of ``settings``.
 
-
-def fringe_factor(detector: str, settings: JointSettings) -> float:
-    """Per-detector fringe factor in [0, 2]."""
-    if detector in _ALICE_DETECTORS:
-        modulation = math.sin(2.0 * settings.xi_a) * math.cos(settings.phi_a)
-        return 1.0 - modulation if detector == "A" else 1.0 + modulation
-    if detector in _BOB_DETECTORS:
-        modulation = math.sin(2.0 * settings.theta_b) * math.cos(settings.psi_b)
-        return 1.0 - modulation if detector == "C" else 1.0 + modulation
-    raise ValueError(f"unknown detector {detector!r}, expected one of A, B, C, D")
-
-
-def detector_intensities(settings: JointSettings) -> tuple[float, float, float, float]:
-    """Mean intensities at detectors (A, B, C, D).
-
-    Each station's pair sums to ``i0/2``: the other half is absorbed by the
-    polarizer.
+    Intensities are the fringe factors over 4; each station's pair sums to
+    1/2, the other half being absorbed by the polarizer.  ``R_AD`` and
+    ``R_BC`` are the products of the two detectors' factors.
     """
-    quarter = settings.i0 / 4.0
-    return tuple(quarter * fringe_factor(d, settings) for d in "ABCD")  # type: ignore[return-value]
-
-
-def synchronized_correlation(rho: float) -> float:
-    """Coincidence correlation for synchronized stations at polarizer +-pi/4.
-
-    Equals the general correlation at ``phi = psi = rho``,
-    ``xi = theta = +-pi/4``, already normalized to unit peak.
-    """
-    return math.sin(rho) ** 2
-
-
-def cross_correlation_fixed_pol(phi: float, psi: float, sign: int) -> float:
-    """Correlation of the A/D pair with both polarizers fixed at ``sign * pi/4``.
-
-    ``sign=+1`` gives ``(1 - cos phi)(1 + cos psi)``; ``sign=-1`` swaps the
-    signs.  Range [0, 4].
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return (1.0 - sign * math.cos(phi)) * (1.0 + sign * math.cos(psi))
-
-
-def general_cross_correlation(settings: JointSettings, pair: str) -> float:
-    """Normalized coincidence correlation for one cross-station detector pair.
-
-    The value is the product of the two fringe factors, equal to
-    ``16 * I_i * I_j / i0^2``.
-    """
-    if pair not in CROSS_STATION_PAIRS:
-        raise ValueError(
-            f"pair must name one detector per station ({', '.join(CROSS_STATION_PAIRS)}), "
-            f"got {pair!r}"
-        )
-    return fringe_factor(pair[0], settings) * fringe_factor(pair[1], settings)
-
-
-def local_basis_sum(rho: float, detector: str, i0: float = 1.0) -> float:
-    """Singles intensity summed over the two polarizer bases ``+-pi/4``.
-
-    The fringe terms cancel exactly, leaving ``i0/2`` for every detector and
-    every phase: summing over the basis pair restores local randomness.
-    """
-    if i0 < 0.0:
-        raise ValueError(f"i0 must be non-negative, got {i0}")
-    index = "ABCD".index(detector)
-    plus = detector_intensities(synchronized_settings(rho, QUARTER_TURN, i0))
-    minus = detector_intensities(synchronized_settings(rho, -QUARTER_TURN, i0))
-    return plus[index] + minus[index]
+    f = fringe_factors(settings)
+    return np.column_stack([f / 4.0, f[:, 0] * f[:, 3], f[:, 1] * f[:, 2]])
 
 
 # ----------------------------------------------------------------- grid sweeps
@@ -192,19 +118,38 @@ class SweepAxis:
         # Include the stop point when it lands on the grid (to fp slack).
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
-    def points(self) -> list[float]:
-        return [self.start + k * self.step for k in range(self.count)]
-
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes to sweep (row-major in declared order) plus fixed parameter values."""
+    """Axes to sweep (row-major in declared order) plus fixed parameter values.
+
+    Every parameter may be set once, by an axis or a fixed value; an alias
+    (``rho``, ``zeta``) sets both of its targets.  Unset parameters are 0.
+    """
 
     axes: tuple[SweepAxis, ...]
     fixed: Mapping[str, float] = field(default_factory=dict)
-    i0: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.axes:
+            raise ValueError("sweep requires at least one axis")
+        claimed: dict[str, str] = {}
+        sources = [(axis.name, f"axis {axis.name}") for axis in self.axes]
+        for name, value in self.fixed.items():
+            if name not in SWEEP_PARAMS:
+                raise ValueError(
+                    f"unknown fixed parameter {name!r}, expected one of {SWEEP_PARAMS}"
+                )
+            if not math.isfinite(value):
+                raise ValueError(f"fixed parameter {name!r} must be finite")
+            sources.append((name, f"fix {name}"))
+        for name, source in sources:
+            for target in _ALIAS_TARGETS.get(name, (name,)):
+                if target in claimed:
+                    raise ValueError(
+                        f"parameter {target!r} set twice (via {claimed[target]} and {source})"
+                    )
+                claimed[target] = source
         if self.n_points > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep has {self.n_points} grid points, above the cap of "
@@ -242,72 +187,19 @@ PRESETS: dict[str, SweepSpec] = {
 }
 
 
-def _validate_param_coverage(spec: SweepSpec) -> None:
-    claimed: dict[str, str] = {}
-
-    def claim(param: str, source: str) -> None:
-        targets = _ALIAS_TARGETS.get(param, (param,))
-        for target in targets:
-            if target in claimed:
-                raise ValueError(
-                    f"parameter {target!r} set twice (via {claimed[target]} and {source})"
-                )
-            claimed[target] = source
-
-    for axis in spec.axes:
-        claim(axis.name, f"axis {axis.name}")
-    for name in spec.fixed:
-        if name not in SWEEP_PARAMS:
-            raise ValueError(
-                f"unknown fixed parameter {name!r}, expected one of {SWEEP_PARAMS}"
-            )
-        if not math.isfinite(spec.fixed[name]):
-            raise ValueError(f"fixed parameter {name!r} must be finite")
-        claim(name, f"fix {name}")
+def _columns(name: str) -> list[int]:
+    return [SETTINGS_COLUMNS.index(t) for t in _ALIAS_TARGETS.get(name, (name,))]
 
 
-def _settings_from_values(values: Mapping[str, float], i0: float) -> JointSettings:
-    resolved = {"phi": 0.0, "psi": 0.0, "xi": 0.0, "theta": 0.0}
-    for name, value in values.items():
-        for target in _ALIAS_TARGETS.get(name, (name,)):
-            resolved[target] = value
-    return JointSettings(
-        phi_a=resolved["phi"],
-        psi_b=resolved["psi"],
-        xi_a=resolved["xi"],
-        theta_b=resolved["theta"],
-        i0=i0,
+def sweep_settings(spec: SweepSpec) -> np.ndarray:
+    """Expand a sweep into an ``(N, 4)`` settings array, row-major."""
+    settings = np.zeros((spec.n_points, len(SETTINGS_COLUMNS)))
+    for name, value in spec.fixed.items():
+        settings[:, _columns(name)] = value
+    grids = np.meshgrid(
+        *(axis.start + np.arange(axis.count) * axis.step for axis in spec.axes),
+        indexing="ij",
     )
-
-
-def record_at(settings: JointSettings) -> CorrelationRecord:
-    i_a, i_b, i_c, i_d = detector_intensities(settings)
-    return CorrelationRecord(
-        settings=settings,
-        i_a=i_a,
-        i_b=i_b,
-        i_c=i_c,
-        i_d=i_d,
-        r_ad=general_cross_correlation(settings, "AD"),
-        r_bc=general_cross_correlation(settings, "BC"),
-    )
-
-
-def sweep_settings(spec: SweepSpec) -> list[JointSettings]:
-    """Expand a sweep into one JointSettings per grid point, row-major."""
-    if not spec.axes:
-        raise ValueError("sweep requires at least one axis")
-    _validate_param_coverage(spec)
-    grids = [axis.points() for axis in spec.axes]
-    names = [axis.name for axis in spec.axes]
-    out = []
-    for combo in product(*grids):
-        values = dict(spec.fixed)
-        values.update(zip(names, combo))
-        out.append(_settings_from_values(values, spec.i0))
-    return out
-
-
-def sweep(spec: SweepSpec) -> list[CorrelationRecord]:
-    """Evaluate intensities and correlations on every grid point of the sweep."""
-    return [record_at(s) for s in sweep_settings(spec)]
+    for axis, grid in zip(spec.axes, grids):
+        settings[:, _columns(axis.name)] = grid.reshape(-1, 1)
+    return settings

@@ -10,9 +10,10 @@ independently and rejects same-side pairs).
 Detection: a photon at Alice's station lands on detector A with probability
 ``(1 - sin 2xi cos phi) / 4``, on B with ``(1 + sin 2xi cos phi) / 4``, and is
 absorbed by the polarizer with probability exactly ``1/2``; Bob's side is
-symmetric with (theta, psi) and detectors C/D.  The two photons are sampled
-independently -- all correlation comes from the shared settings, none from
-the source.
+symmetric with (theta, psi) and detectors C/D.  These are the fringe factors
+of :func:`nmzi.correlation.fringe_factors` over 4, evaluated once for the
+whole ``(N, 4)`` settings array.  The two photons are sampled independently
+-- all correlation comes from the shared settings, none from the source.
 
 Sampling: bins are independent and identically distributed, and so are the
 pairs, while the estimator reads only per-point totals.  Each sweep point
@@ -46,11 +47,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlation import CROSS_STATION_PAIRS, JointSettings, fringe_factor
+from .correlation import CROSS_STATION_PAIRS, fringe_factors
 
 DETECTORS = ("A", "B", "C", "D")
 
@@ -201,7 +202,6 @@ class EstimatedCorrelation:
 class McPointResult:
     """Per-sweep-point Monte Carlo output: raw tallies plus estimates."""
 
-    settings: JointSettings
     counts: CoincidenceCounts
     tally: SamplingTally
     estimates: Mapping[str, EstimatedCorrelation]
@@ -212,19 +212,13 @@ class McPointResult:
 # Sampling
 
 
-def detection_probabilities(settings: JointSettings) -> dict:
-    """Per-photon landing probabilities for the four detectors.
-
-    Each side's pair sums to exactly 1/2; the missing half is the polarizer
-    absorption.
-    """
-    return {d: fringe_factor(d, settings) / 4.0 for d in DETECTORS}
-
-
 def _accumulate_point(
-    settings: JointSettings, src: SourceParams, point_seq: np.random.SeedSequence
+    p: Sequence[float], src: SourceParams, point_seq: np.random.SeedSequence
 ) -> tuple[CoincidenceCounts, SamplingTally]:
-    """Draw one sweep point's source and detection totals (module docstring)."""
+    """Draw one sweep point's source and detection totals (module docstring).
+
+    ``p`` holds the point's landing probabilities at detectors (A, B, C, D).
+    """
     rng = np.random.default_rng(point_seq)
     mu = src.mean_photon_number
     p_low = math.exp(-mu) * (1.0 + mu)
@@ -238,9 +232,9 @@ def _accumulate_point(
     n_rejected = int(rng.binomial(n_pair, 0.5)) if src.routing == "binomial" else 0
     n_post = n_pair - n_rejected
 
-    p = detection_probabilities(settings)
-    alice = (p["A"], p["B"], 0.5)
-    bob = (p["C"], p["D"], 0.5)
+    p_a, p_b, p_c, p_d = p
+    alice = (p_a, p_b, 0.5)
+    bob = (p_c, p_d, 0.5)
     # Rows: Alice's photon at A, B or absorbed (x); columns: Bob's at C, D, x.
     (a_c, a_d, a_x), (b_c, b_d, b_x), (x_c, x_d, x_x) = (
         rng.multinomial(n_post, [pa * pb for pa in alice for pb in bob])
@@ -320,41 +314,43 @@ def estimate_correlation(
 
 
 def run_experiment(
-    settings_sweep: Iterable[JointSettings],
+    settings: np.ndarray,
     src: SourceParams,
     normalization: str = "analytic",
 ) -> list[McPointResult]:
-    """Monte Carlo estimates over a sweep, aligned point-for-point with it.
+    """Monte Carlo estimates over an ``(N, 4)`` settings array, one per row.
 
     Deterministic for a fixed seed: every sweep point gets its own child
     seed by its position in the sweep, so no point's result depends on the
     settings of another.
     """
-    points: Sequence[JointSettings] = list(settings_sweep)
-    if not points:
+    if len(settings) == 0:
         raise ValueError("settings sweep is empty")
+    if not np.isfinite(settings).all():
+        raise ValueError("settings must be finite")
     if normalization not in ("analytic", "measured"):
         raise ValueError(
             f"normalization must be 'analytic' or 'measured', got {normalization!r}"
         )
+    probabilities = (fringe_factors(settings) / 4.0).tolist()
     root = np.random.SeedSequence(src.rng_seed)
     accumulated = [
-        (settings, *_accumulate_point(settings, src, point_seq))
-        for settings, point_seq in zip(points, root.spawn(len(points)))
+        _accumulate_point(p, src, point_seq)
+        for p, point_seq in zip(probabilities, root.spawn(len(probabilities)))
     ]
 
     marginals: dict | None = None
     if normalization == "measured":
-        total_pairs = sum(counts.n_post_selected_pairs for _, counts, _ in accumulated)
+        total_pairs = sum(counts.n_post_selected_pairs for counts, _ in accumulated)
         if total_pairs == 0:
             raise ValueError("no post-selected pairs anywhere in the sweep")
         marginals = {
-            d: sum(counts.singles[d] for _, counts, _ in accumulated) / total_pairs
+            d: sum(counts.singles[d] for counts, _ in accumulated) / total_pairs
             for d in DETECTORS
         }
 
     results = []
-    for settings, counts, tally in accumulated:
+    for counts, tally in accumulated:
         estimates = {
             pair: estimate_correlation(counts, pair, normalization, marginals)
             for pair in CROSS_STATION_PAIRS
@@ -364,7 +360,6 @@ def run_experiment(
         }
         results.append(
             McPointResult(
-                settings=settings,
                 counts=counts,
                 tally=tally,
                 estimates=estimates,

@@ -8,11 +8,14 @@ and, when Monte Carlo results ride along:
 
     R_hat_AD, stderr_AD, R_hat_BC, stderr_BC, n_pairs
 
-``R_AD_normalized`` is R_AD divided by its maximum over the emitted sweep
-(0 when the sweep never rises above 0), so the column peaks at 1 on any
-grid that reaches the true maximum.  Floats are printed with 17 significant
-digits (full round-trip precision) and rows end with a bare newline, making
-the byte stream a pure function of the records.
+The first four are the ``(N, 4)`` settings array, the next six the array
+:func:`nmzi.correlation.record_at` returns for it.  ``R_AD_normalized`` is
+R_AD divided by its maximum over the emitted sweep (0 when the sweep never
+rises above 0), so the column peaks at 1 on any grid that reaches the true
+maximum.  Rows are rendered whole, one format string over all columns per
+row.  Floats are printed with 17 significant digits (full round-trip
+precision) and rows end with a bare newline, making the byte stream a pure
+function of the inputs.
 
 Files are written to a temporary name in the target directory and renamed
 into place, so an interrupted run leaves the previous file (or none), never
@@ -22,78 +25,59 @@ a truncated one.
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
 from typing import Callable, Sequence, TextIO
 
-from .correlation import CorrelationRecord
+import numpy as np
+
+from .correlation import RECORD_COLUMNS, SETTINGS_COLUMNS
 from .montecarlo import McPointResult
 
-ANALYTIC_COLUMNS = (
-    "phi",
-    "psi",
-    "xi",
-    "theta",
-    "i_A",
-    "i_B",
-    "i_C",
-    "i_D",
-    "R_AD",
-    "R_BC",
-    "R_AD_normalized",
-)
+ANALYTIC_COLUMNS = SETTINGS_COLUMNS + RECORD_COLUMNS + ("R_AD_normalized",)
 
 MC_COLUMNS = ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC", "n_pairs")
 
-
-def _fmt(value: float) -> str:
-    # 17 significant digits: enough to reproduce the double exactly.
-    return f"{value:.16e}"
+# 17 significant digits: enough to reproduce the double exactly.
+_FLOAT = "{:.16e}"
 
 
 def csv_rows(
-    records: Sequence[CorrelationRecord],
+    settings: np.ndarray,
+    records: np.ndarray,
     mc_results: Sequence[McPointResult] | None = None,
-) -> list[list[str]]:
-    """Render records (plus optional aligned MC results) to text cells."""
-    if not records:
+) -> list[str]:
+    """Render the sweep to CSV lines, header first, each ending in a newline.
+
+    ``records`` is ``record_at(settings)``; ``mc_results``, when given, is
+    aligned with the rows of ``settings``.
+    """
+    if len(settings) == 0:
         raise ValueError("no records to write; refusing to emit an empty CSV")
-    if mc_results is not None and len(mc_results) != len(records):
+    if mc_results is not None and len(mc_results) != len(settings):
         raise ValueError(
             f"Monte Carlo results ({len(mc_results)}) do not align with the "
-            f"analytic records ({len(records)})"
+            f"analytic records ({len(settings)})"
         )
-    peak = max(record.r_ad for record in records)
-    rows = [list(ANALYTIC_COLUMNS) + (list(MC_COLUMNS) if mc_results else [])]
-    for index, record in enumerate(records):
-        s = record.settings
-        normalized = record.r_ad / peak if peak > 0.0 else 0.0
-        row = [
-            _fmt(s.phi_a),
-            _fmt(s.psi_b),
-            _fmt(s.xi_a),
-            _fmt(s.theta_b),
-            _fmt(record.i_a),
-            _fmt(record.i_b),
-            _fmt(record.i_c),
-            _fmt(record.i_d),
-            _fmt(record.r_ad),
-            _fmt(record.r_bc),
-            _fmt(normalized),
+    r_ad = records[:, RECORD_COLUMNS.index("R_AD")]
+    peak = r_ad.max()
+    normalized = r_ad / peak if peak > 0.0 else np.zeros_like(r_ad)
+    columns = [*settings.T.tolist(), *records.T.tolist(), normalized.tolist()]
+    header = ANALYTIC_COLUMNS
+    formats = [_FLOAT] * len(columns)
+    if mc_results is not None:
+        ad = [point.estimates["AD"] for point in mc_results]
+        bc = [point.estimates["BC"] for point in mc_results]
+        columns += [
+            [e.value for e in ad],
+            [e.std_error for e in ad],
+            [e.value for e in bc],
+            [e.std_error for e in bc],
+            [point.counts.n_post_selected_pairs for point in mc_results],
         ]
-        if mc_results:
-            point = mc_results[index]
-            ad = point.estimates["AD"]
-            bc = point.estimates["BC"]
-            row += [
-                _fmt(ad.value),
-                _fmt(ad.std_error),
-                _fmt(bc.value),
-                _fmt(bc.std_error),
-                str(point.counts.n_post_selected_pairs),
-            ]
-        rows.append(row)
-    return rows
+        header += MC_COLUMNS
+        formats += [_FLOAT] * 4 + ["{}"]
+    row = ",".join(formats) + "\n"
+    return [",".join(header) + "\n", *map(row.format, *columns)]
 
 
 def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
@@ -119,17 +103,14 @@ def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
 
 
 def emit_csv(
-    records: Sequence[CorrelationRecord],
+    settings: np.ndarray,
+    records: np.ndarray,
     path,
     mc_results: Sequence[McPointResult] | None = None,
 ) -> None:
     """Write the sweep to ``path``; validation happens before any file opens."""
-    rows = csv_rows(records, mc_results)
-    _write_atomically(
-        path,
-        lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows),
-        "CSV",
-    )
+    rows = csv_rows(settings, records, mc_results)
+    _write_atomically(path, lambda handle: handle.writelines(rows), "CSV")
 
 
 # Column positions (1-based, for gnuplot) of the plottable quantities.

@@ -1,7 +1,11 @@
 """Self-verification: run the model's identity checks and report deviations.
 
 Analytic checks exercise exact algebraic identities (tolerance 1e-12, or
-exactly zero where conservation is exact by construction).  The optional
+exactly zero where conservation is exact by construction).  Each evaluates
+the closed-form kernel (:func:`nmzi.correlation.fringe_factors`) once, on its
+whole check grid.  The paper's special forms -- ``sin^2(rho)`` for
+synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are restated
+here and checked against that kernel, not derived from it.  The optional
 Monte Carlo block re-derives the closed forms from photon statistics at
 modest sample sizes with sigma-scaled tolerances.
 
@@ -19,12 +23,8 @@ import numpy as np
 
 from .correlation import (
     QUARTER_TURN,
-    JointSettings,
-    detector_intensities,
-    fringe_factor,
-    general_cross_correlation,
-    local_basis_sum,
-    synchronized_correlation,
+    fringe_factors,
+    record_at,
     synchronized_settings,
 )
 from .elements import (
@@ -33,12 +33,7 @@ from .elements import (
     ElementConventions,
     beam_splitter_mix,
 )
-from .montecarlo import (
-    DETECTORS,
-    SourceParams,
-    detection_probabilities,
-    run_experiment,
-)
+from .montecarlo import DETECTORS, SourceParams, run_experiment
 from .station import (
     StationParams,
     closed_form_station,
@@ -138,92 +133,84 @@ def _check_station_energy() -> CheckResult:
     return CheckResult("station outputs carry the input energy", worst, ALGEBRA_TOL)
 
 
+def _grid(*columns) -> np.ndarray:
+    """Settings rows over the product of per-column values, row-major."""
+    mesh = np.meshgrid(*columns, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _both_signs(rho: np.ndarray) -> np.ndarray:
+    """Synchronized rows at polarizers +pi/4, then the same phases at -pi/4."""
+    return np.concatenate(
+        [synchronized_settings(rho, sign * QUARTER_TURN) for sign in (+1, -1)]
+    )
+
+
 def _check_intensities_match_projections() -> CheckResult:
+    settings = _grid(_PHASES, _PHASES[::2], _POL_ANGLES, [0.6])
+    intensities = fringe_factors(settings) / 4.0
     worst = 0.0
-    for phi in _PHASES:
-        for psi in _PHASES[::2]:
-            for zeta in _POL_ANGLES:
-                settings = JointSettings(
-                    phi_a=phi, psi_b=psi, xi_a=zeta, theta_b=0.6, i0=1.0
-                )
-                i_a, i_b, i_c, i_d = detector_intensities(settings)
-                alice = closed_form_station(
-                    StationParams(mzi_phase=phi, polarizer_angle=zeta)
-                )
-                bob = closed_form_station(
-                    StationParams(mzi_phase=psi, polarizer_angle=0.6)
-                )
-                worst = max(
-                    worst,
-                    abs(i_a - abs(alice.e_proj_minus) ** 2),
-                    abs(i_b - abs(alice.e_proj_plus) ** 2),
-                    abs(i_c - abs(bob.e_proj_minus) ** 2),
-                    abs(i_d - abs(bob.e_proj_plus) ** 2),
-                )
+    for (phi, psi, xi, theta), (i_a, i_b, i_c, i_d) in zip(
+        settings.tolist(), intensities.tolist()
+    ):
+        alice = closed_form_station(StationParams(mzi_phase=phi, polarizer_angle=xi))
+        bob = closed_form_station(StationParams(mzi_phase=psi, polarizer_angle=theta))
+        worst = max(
+            worst,
+            abs(i_a - abs(alice.e_proj_minus) ** 2),
+            abs(i_b - abs(alice.e_proj_plus) ** 2),
+            abs(i_c - abs(bob.e_proj_minus) ** 2),
+            abs(i_d - abs(bob.e_proj_plus) ** 2),
+        )
     return CheckResult(
         "detector intensities equal projected station amplitudes", worst, ALGEBRA_TOL
     )
 
 
 def _check_correlation_product_identity() -> CheckResult:
-    worst = 0.0
-    for phi in _PHASES:
-        for psi in _PHASES[::2]:
-            for i0 in (1.0, 2.5):
-                settings = JointSettings(
-                    phi_a=phi, psi_b=psi, xi_a=0.5, theta_b=1.1, i0=i0
-                )
-                i_a, i_b, i_c, i_d = detector_intensities(settings)
-                marginal_sq = (i0 / 4.0) ** 2
-                for pair, product in (
-                    ("AD", i_a * i_d),
-                    ("BC", i_b * i_c),
-                    ("AC", i_a * i_c),
-                    ("BD", i_b * i_d),
-                ):
-                    r = general_cross_correlation(settings, pair)
-                    worst = max(worst, abs(r * marginal_sq - product))
+    records = record_at(_grid(_PHASES, _PHASES[::2], [0.5], [1.1]))
+    i_a, i_b, i_c, i_d, r_ad, r_bc = records.T
+    marginal_sq = (1.0 / 4.0) ** 2
+    worst = max(
+        np.max(np.abs(r_ad * marginal_sq - i_a * i_d)),
+        np.max(np.abs(r_bc * marginal_sq - i_b * i_c)),
+    )
     return CheckResult(
         "correlation times squared marginal equals intensity product",
-        worst,
+        float(worst),
         ALGEBRA_TOL,
     )
 
 
 def _check_synchronized_form() -> CheckResult:
-    worst = 0.0
-    for rho in np.linspace(0.0, 2.0 * math.pi, 97):
-        for zeta in (QUARTER_TURN, -QUARTER_TURN):
-            r = general_cross_correlation(
-                synchronized_settings(rho, zeta), "AD"
-            )
-            worst = max(worst, abs(r - synchronized_correlation(rho)))
+    # The paper's synchronized special form, restated: sin^2(rho) at either
+    # polarizer sign.
+    settings = _both_signs(np.linspace(0.0, 2.0 * math.pi, 97))
+    _, _, _, _, r_ad, _ = record_at(settings).T
+    worst = np.max(np.abs(r_ad - np.sin(settings[:, 0]) ** 2))
     return CheckResult(
-        "synchronized correlation equals squared sine", worst, ALGEBRA_TOL
+        "synchronized correlation equals squared sine", float(worst), ALGEBRA_TOL
     )
 
 
 def _check_probability_conservation() -> CheckResult:
-    worst = 0.0
-    for phi in np.linspace(0.0, 2.0 * math.pi, 41):
-        for xi in np.linspace(-math.pi, math.pi, 37):
-            settings = JointSettings(
-                phi_a=phi, psi_b=1.3, xi_a=xi, theta_b=xi, i0=1.0
-            )
-            p = detection_probabilities(settings)
-            worst = max(
-                worst, abs(p["A"] + p["B"] - 0.5), abs(p["C"] + p["D"] - 0.5)
-            )
-    return CheckResult("detection probabilities conserve exactly", worst, 0.0)
+    phi = np.linspace(0.0, 2.0 * math.pi, 41)
+    xi = np.linspace(-math.pi, math.pi, 37)
+    settings = _grid(phi, [1.3], xi)
+    settings = np.column_stack([settings, settings[:, 2]])  # theta = xi
+    p_a, p_b, p_c, p_d = (fringe_factors(settings) / 4.0).T
+    worst = max(np.max(np.abs(p_a + p_b - 0.5)), np.max(np.abs(p_c + p_d - 0.5)))
+    return CheckResult("detection probabilities conserve exactly", float(worst), 0.0)
 
 
 def _check_local_basis_sum() -> CheckResult:
-    worst = 0.0
-    for rho in np.linspace(0.0, 2.0 * math.pi, 61):
-        for detector in DETECTORS:
-            worst = max(worst, abs(local_basis_sum(rho, detector) - 0.5))
+    # The paper's basis sum, restated: a detector's intensity summed over the
+    # polarizer bases +-pi/4 is 1/2 at every phase.
+    settings = _both_signs(np.linspace(0.0, 2.0 * math.pi, 61))
+    plus, minus = np.split(fringe_factors(settings) / 4.0, 2)
+    worst = np.max(np.abs(plus + minus - 0.5))
     return CheckResult(
-        "polarizer-basis sum hides the fringe locally", worst, ALGEBRA_TOL
+        "polarizer-basis sum hides the fringe locally", float(worst), ALGEBRA_TOL
     )
 
 
@@ -238,14 +225,15 @@ def _sigma_or_inf(observed: float, expected: float, sigma: float) -> float:
 
 
 def _check_mc_convergence(source: SourceParams) -> CheckResult:
-    points = [synchronized_settings(rho, QUARTER_TURN) for rho in _PHASES]
+    points = synchronized_settings(_PHASES, QUARTER_TURN)
     results = run_experiment(points, source)
+    # The sampling target: at phases where the coincidence probability is
+    # exactly zero, both the estimate and this truth are exact zeros.
+    _, _, _, _, r_ad, _ = record_at(points).T
+    truths = r_ad.tolist()
     worst = 0.0
-    for point, result in zip(points, results):
+    for truth, result in zip(truths, results):
         est = result.estimates["AD"]
-        # The sampling target: at phases where the coincidence probability
-        # is exactly zero, both the estimate and this truth are exact zeros.
-        truth = general_cross_correlation(point, "AD")
         worst = max(worst, _sigma_or_inf(est.value, truth, est.std_error))
     return CheckResult(
         "monte carlo correlation converges at 8 synchronized phases (sigmas)",
@@ -255,13 +243,12 @@ def _check_mc_convergence(source: SourceParams) -> CheckResult:
 
 
 def _check_mc_singles(source: SourceParams) -> CheckResult:
-    settings = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=QUARTER_TURN, theta_b=0.6)
-    result = run_experiment([settings], source)[0]
+    settings = np.array([[0.9, 1.7, QUARTER_TURN, 0.6]])
+    result = run_experiment(settings, source)[0]
     n = result.counts.n_post_selected_pairs
-    probabilities = detection_probabilities(settings)
+    probabilities = (fringe_factors(settings)[0] / 4.0).tolist()
     worst = 0.0
-    for detector in DETECTORS:
-        p = probabilities[detector]
+    for detector, p in zip(DETECTORS, probabilities):
         sigma = math.sqrt(p * (1.0 - p) / n)
         worst = max(
             worst, _sigma_or_inf(result.singles_rates[detector], p, sigma)
@@ -271,7 +258,7 @@ def _check_mc_singles(source: SourceParams) -> CheckResult:
 
 def _check_mc_post_selection(source: SourceParams) -> CheckResult:
     settings = synchronized_settings(1.0, QUARTER_TURN)
-    tally = run_experiment([settings], source)[0].tally
+    tally = run_experiment(settings, source)[0].tally
     mu = source.mean_photon_number
     p2 = math.exp(-mu) * mu * mu / 2.0
     sigma = math.sqrt(tally.n_bins * p2 * (1.0 - p2))

@@ -17,18 +17,14 @@ from nmzi.cli import main
 from nmzi.correlation import (
     PRESETS,
     QUARTER_TURN,
-    JointSettings,
+    RECORD_COLUMNS,
     SweepSpec,
-    detector_intensities,
-    general_cross_correlation,
-    sweep,
+    fringe_factors,
+    record_at,
+    sweep_settings,
     synchronized_settings,
 )
-from nmzi.montecarlo import (
-    SourceParams,
-    detection_probabilities,
-    run_experiment,
-)
+from nmzi.montecarlo import DETECTORS, SourceParams, run_experiment
 from nmzi.output import csv_rows
 from nmzi.station import (
     StationParams,
@@ -56,14 +52,25 @@ def _sigmas(observed: float, expected: float, sigma: float) -> float:
     return 0.0 if observed == expected else math.inf
 
 
+def _cells(spec: SweepSpec) -> list[list[str]]:
+    """The CSV data rows of a sweep, split into cells."""
+    settings = sweep_settings(spec)
+    lines = csv_rows(settings, record_at(settings))[1:]
+    return [line.rstrip("\n").split(",") for line in lines]
+
+
+def _record(phi: float, psi: float, xi: float, theta: float) -> dict:
+    """The computed CSV columns at one setting, by column name."""
+    row = record_at(np.array([[phi, psi, xi, theta]]))[0].tolist()
+    return dict(zip(RECORD_COLUMNS, row))
+
+
 def test_1_synchronized_scan_normalized_column(report):
     started = time.perf_counter()
-    plus = sweep(PRESETS["fig2"])
-    minus = sweep(
+    rows_plus = _cells(PRESETS["fig2"])
+    rows_minus = _cells(
         SweepSpec(axes=PRESETS["fig2"].axes, fixed={"zeta": -QUARTER_TURN})
     )
-    rows_plus = csv_rows(plus)[1:]
-    rows_minus = csv_rows(minus)[1:]
     worst = max(
         abs(float(row[10]) - math.sin(float(row[0])) ** 2) for row in rows_plus
     )
@@ -89,21 +96,14 @@ def test_1_synchronized_scan_normalized_column(report):
 
 
 def test_2_single_station_fringes_mirror_and_share_energy(report):
-    worst = 0.0
-    for i0 in (1.0, 2.5):
-        for rho in PRESETS["fig2"].axes[0].points():
-            at_plus = detector_intensities(
-                synchronized_settings(rho, QUARTER_TURN, i0)
-            )
-            at_minus = detector_intensities(
-                synchronized_settings(rho, -QUARTER_TURN, i0)
-            )
-            worst = max(
-                worst,
-                abs(at_plus[0] + at_minus[0] - i0 / 2.0),
-                abs(at_minus[0] - at_plus[1]),
-                abs(at_minus[1] - at_plus[0]),
-            )
+    rho = sweep_settings(PRESETS["fig2"])[:, 0]
+    at_plus = record_at(synchronized_settings(rho, QUARTER_TURN))
+    at_minus = record_at(synchronized_settings(rho, -QUARTER_TURN))
+    worst = max(
+        np.max(np.abs(at_plus[:, 0] + at_minus[:, 0] - 0.5)),
+        np.max(np.abs(at_minus[:, 0] - at_plus[:, 1])),
+        np.max(np.abs(at_minus[:, 1] - at_plus[:, 0])),
+    )
     passed = worst < TOL
     report(
         2,
@@ -116,22 +116,20 @@ def test_2_single_station_fringes_mirror_and_share_energy(report):
 
 
 def test_3_independent_phase_map_product_forms(report):
-    records = sweep(PRESETS["fig3"])
+    settings = sweep_settings(PRESETS["fig3"])
+    records = record_at(settings)
     worst = 0.0
-    for record in records:
-        phi = record.settings.phi_a
-        psi = record.settings.psi_b
+    for (phi, psi, _, _), (_, _, _, _, r_ad, r_bc) in zip(
+        settings.tolist(), records.tolist()
+    ):
         worst = max(
             worst,
-            abs(record.r_ad - (1.0 - math.cos(phi)) * (1.0 + math.cos(psi))),
-            abs(record.r_bc - (1.0 + math.cos(phi)) * (1.0 - math.cos(psi))),
+            abs(r_ad - (1.0 - math.cos(phi)) * (1.0 + math.cos(psi))),
+            abs(r_bc - (1.0 + math.cos(phi)) * (1.0 - math.cos(psi))),
         )
 
     def r_at(phi, psi, pair):
-        settings = JointSettings(
-            phi_a=phi, psi_b=psi, xi_a=QUARTER_TURN, theta_b=QUARTER_TURN
-        )
-        return general_cross_correlation(settings, pair)
+        return _record(phi, psi, QUARTER_TURN, QUARTER_TURN)["R_" + pair]
 
     spots = max(
         abs(r_at(0.0, 0.0, "AD")),
@@ -140,7 +138,7 @@ def test_3_independent_phase_map_product_forms(report):
         abs(r_at(0.0, math.pi, "BC") - 4.0),
         abs(r_at(math.pi, 0.0, "BC")),
     )
-    grid_max = max(max(r.r_ad, r.r_bc) for r in records)
+    grid_max = records[:, 4:6].max()
     passed = worst < TOL and spots < TOL and grid_max <= 4.0 + TOL
     report(
         3,
@@ -153,31 +151,12 @@ def test_3_independent_phase_map_product_forms(report):
 
 
 def test_4_phase_vs_polarizer_map_peak_and_symmetry(report):
-    records = sweep(PRESETS["fig4"])
-    grid_max = max(record.r_ad for record in records)
-    peak = general_cross_correlation(
-        JointSettings(
-            phi_a=math.pi,
-            psi_b=0.0,
-            xi_a=QUARTER_TURN,
-            theta_b=QUARTER_TURN,
-        ),
-        "AD",
-    )
+    grid_max = record_at(sweep_settings(PRESETS["fig4"]))[:, 4].max()
+    peak = _record(math.pi, 0.0, QUARTER_TURN, QUARTER_TURN)["R_AD"]
     worst_symmetry = 0.0
-    for phi in PRESETS["fig2"].axes[0].points():
-        high = general_cross_correlation(
-            JointSettings(
-                phi_a=phi, psi_b=0.0, xi_a=3.0 * QUARTER_TURN, theta_b=QUARTER_TURN
-            ),
-            "AD",
-        )
-        low = general_cross_correlation(
-            JointSettings(
-                phi_a=phi, psi_b=0.0, xi_a=-QUARTER_TURN, theta_b=QUARTER_TURN
-            ),
-            "AD",
-        )
+    for phi in sweep_settings(PRESETS["fig2"])[:, 0].tolist():
+        high = _record(phi, 0.0, 3.0 * QUARTER_TURN, QUARTER_TURN)["R_AD"]
+        low = _record(phi, 0.0, -QUARTER_TURN, QUARTER_TURN)["R_AD"]
         worst_symmetry = max(worst_symmetry, abs(high - low))
     passed = (
         abs(peak - 4.0) < TOL
@@ -230,17 +209,15 @@ def test_6_energy_and_probability_conservation(report):
     for _ in range(1000):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         xi = rng.uniform(-math.pi, math.pi)
-        i0 = rng.uniform(0.1, 3.0)
-        settings = JointSettings(
-            phi_a=phi,
-            psi_b=rng.uniform(0.0, 2.0 * math.pi),
-            xi_a=xi,
-            theta_b=rng.uniform(-math.pi, math.pi),
-            i0=i0,
-        )
-        i_a, i_b, i_c, i_d = detector_intensities(settings)
+        settings = np.array([[
+            phi,
+            rng.uniform(0.0, 2.0 * math.pi),
+            xi,
+            rng.uniform(-math.pi, math.pi),
+        ]])
+        i_a, i_b, i_c, i_d = record_at(settings)[0, :4]
         worst = max(
-            worst, abs(i_a + i_b - i0 / 2.0), abs(i_c + i_d - i0 / 2.0)
+            worst, abs(i_a + i_b - 0.5), abs(i_c + i_d - 0.5)
         )
         amplitude = rng.uniform(0.1, 2.0)
         base = StationParams(
@@ -289,7 +266,9 @@ def test_6_energy_and_probability_conservation(report):
 def test_7_photon_counting_reproduces_the_fringe(report):
     started = time.perf_counter()
     phases = [2.0 * math.pi * k / 8.0 for k in range(8)]
-    points = [synchronized_settings(rho, QUARTER_TURN) for rho in phases]
+    points = synchronized_settings(phases, QUARTER_TURN)
+    truths = record_at(points)[:, 4].tolist()
+    probabilities = (fringe_factors(points) / 4.0).tolist()
     source = SourceParams(
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )
@@ -299,18 +278,15 @@ def test_7_photon_counting_reproduces_the_fringe(report):
     worst_stderr = 0.0
     worst_algebra = 0.0
     min_pairs = min(r.counts.n_post_selected_pairs for r in results)
-    for rho, point, result in zip(phases, points, results):
+    for rho, truth, p_point, result in zip(phases, truths, probabilities, results):
         estimate = result.estimates["AD"]
-        truth = general_cross_correlation(point, "AD")
         worst_algebra = max(worst_algebra, abs(truth - math.sin(rho) ** 2))
         worst_z = max(
             worst_z, _sigmas(estimate.value, truth, estimate.std_error)
         )
         worst_stderr = max(worst_stderr, estimate.std_error)
         n = result.counts.n_post_selected_pairs
-        probabilities = detection_probabilities(point)
-        for detector in ("A", "B"):
-            p = probabilities[detector]
+        for detector, p in zip(DETECTORS[:2], p_point[:2]):
             sigma = math.sqrt(p * (1.0 - p) / n)
             worst_singles_z = max(
                 worst_singles_z,
@@ -342,7 +318,7 @@ def test_8_pair_bin_fraction_matches_poisson_mass(report):
         source = SourceParams(
             mean_photon_number=mu, n_time_bins=2_000_000, rng_seed=3
         )
-        tally = run_experiment([synchronized_settings(1.0, QUARTER_TURN)], source)[0].tally
+        tally = run_experiment(synchronized_settings(1.0, QUARTER_TURN), source)[0].tally
         p2 = math.exp(-mu) * mu * mu / 2.0
         sigma = math.sqrt(source.n_time_bins * p2 * (1.0 - p2))
         worst_z = max(

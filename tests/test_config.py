@@ -218,3 +218,14 @@ def test_build_sweep_spec_resolves_presets_and_axes():
     assert explicit.axes[0].name == "phi"
     with pytest.raises(ConfigError, match="no sweep specified"):
         build_sweep_spec(RunConfig(mode="verify"))
+
+
+def test_conflicting_parameters_fail_when_the_spec_is_built():
+    explicit = parse_config(
+        "mode = analytic\nsweep.rho = 0:1:0.5\nfix.phi = 0.0\n"
+    )
+    with pytest.raises(ConfigError, match="'phi' set twice"):
+        build_sweep_spec(explicit)
+    # A fix that collides with a preset's axis is refused the same way.
+    with pytest.raises(ConfigError, match="'psi' set twice"):
+        build_sweep_spec(parse_config("mode = analytic\npreset = fig2\nfix.psi = 1.0\n"))

@@ -9,14 +9,14 @@ Statistical checks use fixed seeds and 4-sigma (single draw) or ensemble
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from nmzi.correlation import (
     CROSS_STATION_PAIRS,
     QUARTER_TURN,
-    JointSettings,
-    synchronized_correlation,
+    fringe_factors,
     synchronized_settings,
 )
 from nmzi.montecarlo import (
@@ -25,7 +25,6 @@ from nmzi.montecarlo import (
     EstimatedCorrelation,
     McPointResult,
     SourceParams,
-    detection_probabilities,
     estimate_correlation,
     run_experiment,
 )
@@ -49,11 +48,11 @@ def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
     src = SourceParams(
         mean_photon_number=mu, n_time_bins=n_bins, rng_seed=seed, **kw
     )
-    return run_experiment([settings], src)[0]
+    return run_experiment(settings, src)[0]
 
 
 # Source statistics do not depend on the detector settings.
-ANY_POINT = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4, i0=1.0)
+ANY_POINT = np.array([[0.9, 1.7, 0.5, 0.4]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +166,9 @@ def test_binomial_routing_variant():
     theta=st.floats(-7.0, 7.0),
 )
 def test_detection_probabilities_conserve_exactly(phi, psi, xi, theta):
-    s = JointSettings(phi_a=phi, psi_b=psi, xi_a=xi, theta_b=theta, i0=1.0)
-    p = detection_probabilities(s)
+    s = np.array([[phi, psi, xi, theta]])
+    # The per-photon landing probabilities the sampler draws from.
+    p = dict(zip(DETECTORS, (fringe_factors(s)[0] / 4.0).tolist()))
     for detector in DETECTORS:
         assert 0.0 <= p[detector] <= 0.5
     # Each photon reaches its two detectors or the polarizer absorbs it;
@@ -182,9 +182,7 @@ def test_detection_probabilities_conserve_exactly(phi, psi, xi, theta):
 
 
 def test_dark_port_never_fires():
-    s = JointSettings(
-        phi_a=0.0, psi_b=0.0, xi_a=QUARTER_TURN, theta_b=QUARTER_TURN, i0=1.0
-    )
+    s = np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]])
     # About 20 000 pairs.
     counts = run_single_point(s, n_bins=1_220_000, seed=17).counts
     n = counts.n_post_selected_pairs
@@ -197,7 +195,7 @@ def test_dark_port_never_fires():
 
 
 def test_detection_flat_at_zero_polarizer():
-    s = JointSettings(phi_a=1.234, psi_b=2.345, xi_a=0.0, theta_b=0.0, i0=1.0)
+    s = np.array([[1.234, 2.345, 0.0, 0.0]])
     counts = run_single_point(s, n_bins=1_220_000, seed=29).counts
     n = counts.n_post_selected_pairs
     sigma = binom_sigma(0.25, n)
@@ -213,7 +211,7 @@ def test_detection_flat_at_zero_polarizer():
 )
 @hyp_settings(max_examples=50)
 def test_sampled_counts_are_well_formed(phi, xi, seed, routing):
-    s = JointSettings(phi_a=phi, psi_b=0.3, xi_a=xi, theta_b=0.7, i0=1.0)
+    s = np.array([[phi, 0.3, xi, 0.7]])
     result = run_single_point(s, n_bins=20_000, seed=seed, routing=routing)
     result.counts.validate()
     tally = result.tally
@@ -227,7 +225,7 @@ def test_sampled_counts_are_well_formed(phi, xi, seed, routing):
 
 
 def test_counts_identities_hold():
-    s = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4, i0=1.0)
+    s = np.array([[0.9, 1.7, 0.5, 0.4]])
     result = run_single_point(s)
     c = result.counts
     n = c.n_post_selected_pairs
@@ -244,7 +242,7 @@ def test_counts_identities_hold():
 
 
 def test_validate_catches_corrupted_counts():
-    s = JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4, i0=1.0)
+    s = np.array([[0.9, 1.7, 0.5, 0.4]])
     c = run_single_point(s).counts
     c.loss_events += 1
     with pytest.raises(ValueError):
@@ -257,9 +255,7 @@ def test_validate_catches_corrupted_counts():
 
 @pytest.mark.parametrize("phi", [0.7, 2.1])
 def test_singles_fringe_matches_port_probability(phi):
-    s = JointSettings(
-        phi_a=phi, psi_b=1.1, xi_a=QUARTER_TURN, theta_b=0.6, i0=1.0
-    )
+    s = np.array([[phi, 1.1, QUARTER_TURN, 0.6]])
     result = run_single_point(s, seed=31)
     n = result.counts.n_post_selected_pairs
     expected = {
@@ -325,9 +321,7 @@ def test_estimate_zero_phase_is_exactly_zero():
 
 
 def test_estimate_antisynchronized_peak_is_four():
-    s = JointSettings(
-        phi_a=math.pi, psi_b=0.0, xi_a=QUARTER_TURN, theta_b=QUARTER_TURN, i0=1.0
-    )
+    s = np.array([[math.pi, 0.0, QUARTER_TURN, QUARTER_TURN]])
     result = run_single_point(s, mu=0.1, n_bins=2_000_000, seed=79)
     est = result.estimates["AD"]
     assert abs(est.value - 4.0) <= 5.0 * est.std_error
@@ -336,7 +330,7 @@ def test_estimate_antisynchronized_peak_is_four():
 def test_estimate_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         estimate_correlation(CoincidenceCounts(), "AD")
-    s = JointSettings(phi_a=1.0, psi_b=1.0, xi_a=0.5, theta_b=0.5, i0=1.0)
+    s = np.array([[1.0, 1.0, 0.5, 0.5]])
     counts = run_single_point(s, n_bins=100_000).counts
     with pytest.raises(ValueError):
         estimate_correlation(counts, "AB")  # not a cross-station pair
@@ -351,7 +345,7 @@ def test_measured_normalization_close_to_analytic():
     # the sweep-averaged singles rate per detector approaches 1/4, so the
     # measured-normalization estimate lands near the analytic one.
     phases = [2.0 * math.pi * k / 8.0 for k in range(8)]
-    points = [synchronized_settings(rho, QUARTER_TURN) for rho in phases]
+    points = synchronized_settings(phases, QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1_000_000, rng_seed=83)
     analytic = run_experiment(points, src, normalization="analytic")
     measured = run_experiment(points, src, normalization="measured")
@@ -367,14 +361,10 @@ def test_measured_normalization_close_to_analytic():
 
 
 def test_run_experiment_preserves_grid_and_determinism():
-    points = [
-        synchronized_settings(rho, QUARTER_TURN)
-        for rho in (0.4, 1.2, 2.0, 2.8)
-    ]
+    points = synchronized_settings([0.4, 1.2, 2.0, 2.8], QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.2, n_time_bins=200_000, rng_seed=91)
     first = run_experiment(points, src)
     second = run_experiment(points, src)
-    assert [r.settings for r in first] == points
     assert len(first) == len(points)
     for r1, r2 in zip(first, second):
         assert r1.counts == r2.counts
@@ -395,7 +385,16 @@ def test_run_experiment_preserves_grid_and_determinism():
 def test_run_experiment_rejects_empty_sweep():
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1000, rng_seed=1)
     with pytest.raises(ValueError):
-        run_experiment([], src)
+        run_experiment(np.empty((0, 4)), src)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_experiment_rejects_non_finite_settings(bad):
+    src = SourceParams(mean_photon_number=0.1, n_time_bins=1000, rng_seed=1)
+    settings = synchronized_settings([0.0, 1.0], QUARTER_TURN)
+    settings[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run_experiment(settings, src)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +403,14 @@ def test_run_experiment_rejects_empty_sweep():
 
 def test_convergence_ensemble_is_standard_normal():
     rho = 1.0
-    truth = synchronized_correlation(rho)
+    truth = math.sin(rho) ** 2
     point = synchronized_settings(rho, QUARTER_TURN)
     z_values = []
     for seed in range(30):
         src = SourceParams(
             mean_photon_number=0.2, n_time_bins=300_000, rng_seed=seed
         )
-        est = run_experiment([point], src)[0].estimates["AD"]
+        est = run_experiment(point, src)[0].estimates["AD"]
         z_values.append((est.value - truth) / est.std_error)
     within = sum(1 for z in z_values if abs(z) <= 2.0)
     assert within >= 0.9 * len(z_values)
@@ -428,8 +427,8 @@ def test_std_error_scales_as_inverse_sqrt_pairs():
         large = SourceParams(
             mean_photon_number=0.2, n_time_bins=800_000, rng_seed=seed
         )
-        se_small = run_experiment([point], small)[0].estimates["AD"].std_error
-        se_large = run_experiment([point], large)[0].estimates["AD"].std_error
+        se_small = run_experiment(point, small)[0].estimates["AD"].std_error
+        se_large = run_experiment(point, large)[0].estimates["AD"].std_error
         ratios.append(se_small / se_large)
     mean_ratio = sum(ratios) / len(ratios)
     # Quadrupling the bins quadruples the pairs, halving the error.

@@ -6,12 +6,8 @@ import re
 
 import pytest
 
-from nmzi.correlation import (
-    PRESETS,
-    SweepSpec,
-    sweep,
-    sweep_settings,
-)
+from nmzi import output
+from nmzi.correlation import PRESETS, record_at, sweep_settings
 from nmzi.montecarlo import SourceParams, run_experiment
 from nmzi.output import (
     ANALYTIC_COLUMNS,
@@ -30,18 +26,26 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
+def sweep(name):
+    """Settings and computed columns of a preset sweep."""
+    settings = sweep_settings(PRESETS[name])
+    return settings, record_at(settings)
+
+
 def test_header_and_column_order():
-    records = sweep(PRESETS["fig2"])
-    rows = csv_rows(records)
-    assert rows[0] == list(ANALYTIC_COLUMNS)
-    assert rows[0][:4] == ["phi", "psi", "xi", "theta"]
-    assert rows[0][-1] == "R_AD_normalized"
+    settings, records = sweep("fig2")
+    rows = csv_rows(settings, records)
+    header = rows[0].rstrip("\n").split(",")
+    assert header == list(ANALYTIC_COLUMNS)
+    assert header[:4] == ["phi", "psi", "xi", "theta"]
+    assert header[-1] == "R_AD_normalized"
     assert len(rows) == len(records) + 1
+    assert all(row.endswith("\n") and row.count(",") == 10 for row in rows)
 
 
 def test_normalized_column_peaks_at_one(tmp_path):
     path = tmp_path / "fig2.csv"
-    emit_csv(sweep(PRESETS["fig2"]), path)
+    emit_csv(*sweep("fig2"), path)
     rows = read_rows(path)
     assert len(rows) == 201
     # at rho = pi/2 the synchronized correlation is maximal
@@ -56,7 +60,7 @@ def test_normalized_column_peaks_at_one(tmp_path):
 
 def test_two_phase_map_values(tmp_path):
     path = tmp_path / "fig3.csv"
-    emit_csv(sweep(PRESETS["fig3"]), path)
+    emit_csv(*sweep("fig3"), path)
     rows = read_rows(path)
 
     def at(phi, psi):
@@ -81,19 +85,19 @@ def test_two_phase_map_values(tmp_path):
 
 def test_empty_records_error_and_no_file(tmp_path):
     path = tmp_path / "nothing.csv"
+    settings, records = sweep("fig2")
     with pytest.raises(ValueError, match="no records"):
-        emit_csv([], path)
+        emit_csv(settings[:0], records[:0], path)
     assert not path.exists()
 
 
 def test_mc_columns_and_alignment(tmp_path):
-    spec = PRESETS["fig2"]
-    settings = sweep_settings(spec)[:20]
-    records = sweep(spec)[:20]
+    settings, records = sweep("fig2")
+    settings, records = settings[:20], records[:20]
     src = SourceParams(mean_photon_number=0.2, n_time_bins=50_000, rng_seed=6)
     mc = run_experiment(settings, src)
     path = tmp_path / "mc.csv"
-    emit_csv(records, path, mc)
+    emit_csv(settings, records, path, mc)
     with open(path, newline="") as handle:
         header = next(csv.reader(handle))
     assert header == list(ANALYTIC_COLUMNS) + list(MC_COLUMNS)
@@ -103,30 +107,31 @@ def test_mc_columns_and_alignment(tmp_path):
         assert float(row["R_hat_AD"]) == point.estimates["AD"].value
         assert float(row["stderr_BC"]) == point.estimates["BC"].std_error
     with pytest.raises(ValueError, match="do not align"):
-        emit_csv(records, path, mc[:-1])
+        emit_csv(settings, records, path, mc[:-1])
 
 
 def test_byte_determinism_analytic(tmp_path):
-    records = sweep(PRESETS["fig2"])
+    settings, records = sweep("fig2")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(records, a)
-    emit_csv(records, b)
+    emit_csv(settings, records, a)
+    emit_csv(settings, records, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_byte_determinism_mc(tmp_path):
-    settings = sweep_settings(PRESETS["fig2"])[:8]
-    records = sweep(PRESETS["fig2"])[:8]
+    settings, records = sweep("fig2")
+    settings, records = settings[:8], records[:8]
     src = SourceParams(mean_photon_number=0.1, n_time_bins=100_000, rng_seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(records, a, run_experiment(settings, src))
-    emit_csv(records, b, run_experiment(settings, src))
+    emit_csv(settings, records, a, run_experiment(settings, src))
+    emit_csv(settings, records, b, run_experiment(settings, src))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_rows_end_with_bare_newline(tmp_path):
     path = tmp_path / "x.csv"
-    emit_csv(sweep(PRESETS["fig2"])[:5], path)
+    settings, records = sweep("fig2")
+    emit_csv(settings[:5], records[:5], path)
     data = path.read_bytes()
     assert data.endswith(b"\n")
     assert b"\r" not in data
@@ -134,19 +139,19 @@ def test_rows_end_with_bare_newline(tmp_path):
 
 def test_floats_round_trip_exactly(tmp_path):
     path = tmp_path / "x.csv"
-    records = sweep(PRESETS["fig2"])
-    emit_csv(records, path)
+    settings, records = sweep("fig2")
+    emit_csv(settings, records, path)
     second_line = path.read_text().splitlines()[2]
     cell = second_line.split(",")[0]
     assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d{2,3}", cell)
-    assert float(cell) == records[1].settings.phi_a
+    assert float(cell) == settings[1, 0]
 
 
 def test_io_error_includes_path(tmp_path):
-    records = sweep(PRESETS["fig2"])[:3]
+    settings, records = sweep("fig2")
     bad = tmp_path / "missing_dir" / "x.csv"
     with pytest.raises(OSError, match="cannot write CSV to .*missing_dir"):
-        emit_csv(records, bad)
+        emit_csv(settings[:3], records[:3], bad)
 
 
 @pytest.mark.parametrize(
@@ -159,33 +164,29 @@ def test_io_error_includes_path(tmp_path):
 )
 def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, error, raised, match):
     path = tmp_path / "x.csv"
-    records = sweep(PRESETS["fig2"])
-    emit_csv(records[:3], path)
+    settings, records = sweep("fig2")
+    emit_csv(settings[:3], records[:3], path)
     before = path.read_bytes()
 
-    real_writer = csv.writer
+    real_rows = output.csv_rows
 
-    class HalfThenFail:
-        def __init__(self, handle, **kwargs):
-            self.inner = real_writer(handle, **kwargs)
+    def half_then_fail(*args):
+        rows = real_rows(*args)
+        yield from rows[: len(rows) // 2]
+        raise error
 
-        def writerows(self, rows):
-            rows = list(rows)
-            self.inner.writerows(rows[: len(rows) // 2])
-            raise error
-
-    monkeypatch.setattr(csv, "writer", HalfThenFail)
+    monkeypatch.setattr(output, "csv_rows", half_then_fail)
     with pytest.raises(raised, match=match):
-        emit_csv(records, path)
+        emit_csv(settings, records, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_rewrite_replaces_existing_file(tmp_path):
     path = tmp_path / "x.csv"
-    records = sweep(PRESETS["fig2"])
-    emit_csv(records, path)
-    emit_csv(records[:3], path)
+    settings, records = sweep("fig2")
+    emit_csv(settings, records, path)
+    emit_csv(settings[:3], records[:3], path)
     assert len(path.read_text().splitlines()) == 1 + 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 

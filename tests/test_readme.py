@@ -1,0 +1,18 @@
+"""The README's Python API example runs as written."""
+
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_api_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Python API"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert abs(namespace["r_ad"][1] - math.sin(1.0) ** 2) < 1e-12
+    estimate = namespace["estimate"]
+    assert abs(estimate.value - math.sin(1.0) ** 2) <= 5.0 * estimate.std_error

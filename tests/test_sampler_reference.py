@@ -13,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from nmzi.correlation import QUARTER_TURN, JointSettings
+from nmzi.correlation import QUARTER_TURN
 from nmzi.montecarlo import SourceParams, run_experiment
 
 # A generic point, and one where detector C is dark (probability exactly 0).
+# Settings rows are (phi, psi, xi, theta).
 POINTS = {
-    "generic": JointSettings(phi_a=0.9, psi_b=1.7, xi_a=0.5, theta_b=0.4),
-    "dark_C": JointSettings(phi_a=1.3, psi_b=0.0, xi_a=0.3, theta_b=QUARTER_TURN),
+    "generic": np.array([[0.9, 1.7, 0.5, 0.4]]),
+    "dark_C": np.array([[1.3, 0.0, 0.3, QUARTER_TURN]]),
 }
 MU = 0.2
 BINS_PER_RUN = 400_000
@@ -63,7 +64,7 @@ def port_probabilities(phase: float, pol: float) -> tuple[float, float]:
     return (1.0 - modulation) / 4.0, (1.0 + modulation) / 4.0
 
 
-def reference_tables(settings: JointSettings, src: SourceParams, rng):
+def reference_tables(settings: np.ndarray, src: SourceParams, rng):
     """Bin classes (<=1, 2, >=3), routing (kept, rejected), 3x3 fates."""
     photons = rng.poisson(src.mean_photon_number, src.n_time_bins)
     n_pair = int(np.count_nonzero(photons == 2))
@@ -73,8 +74,9 @@ def reference_tables(settings: JointSettings, src: SourceParams, rng):
         sides = rng.integers(0, 2, size=(n_pair, 2))
         kept = int(np.count_nonzero(sides[:, 0] != sides[:, 1]))
     u, v = rng.random((kept, 2)).T
-    p_a, p_b = port_probabilities(settings.phi_a, settings.xi_a)
-    p_c, p_d = port_probabilities(settings.psi_b, settings.theta_b)
+    phi, psi, xi, theta = settings[0].tolist()
+    p_a, p_b = port_probabilities(phi, xi)
+    p_c, p_d = port_probabilities(psi, theta)
     # Fate index 0, 1 or 2: first port, second port, absorbed.
     alice = np.where(u < p_a, 0, np.where(u < p_a + p_b, 1, 2))
     bob = np.where(v < p_c, 0, np.where(v < p_c + p_d, 1, 2))
@@ -84,8 +86,8 @@ def reference_tables(settings: JointSettings, src: SourceParams, rng):
     return bins, [kept, n_pair - kept], fates
 
 
-def sampler_tables(settings: JointSettings, src: SourceParams):
-    result = run_experiment([settings], src)[0]
+def sampler_tables(settings: np.ndarray, src: SourceParams):
+    result = run_experiment(settings, src)[0]
     tally, counts = result.tally, result.counts
     c, k = counts.coincidences, counts.singles
     n = counts.n_post_selected_pairs
