@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
-from .montecarlo import SourceParams, run_experiment
+from .montecarlo import SourceParams, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
 from .verify import run_verification
 
@@ -167,19 +167,21 @@ def _run_sweep_mode(config: RunConfig) -> int:
     spec = build_sweep_spec(config)
     settings = sweep_settings(spec)
     records = record_at(settings)
-    mc_results = None
+    mc_columns = None
     if config.mode == "montecarlo":
         source = config.source or SourceParams(
             mean_photon_number=0.05, n_time_bins=1_000_000
         )
-        mc_results = run_experiment(settings, source, config.normalization)
+        mc_columns = estimate_columns(
+            run_experiment(settings, source), config.normalization
+        )
     out_path = _resolve_out_path(config)
-    emit_csv(settings, records, out_path, mc_results)
+    emit_csv(settings, records, out_path, mc_columns)
     written = [out_path]
     if config.gnuplot:
         script_path = os.path.splitext(out_path)[0] + ".gp"
         axis_names = [axis.name for axis in spec.axes]
-        emit_gnuplot(out_path, script_path, axis_names, mc_results is not None)
+        emit_gnuplot(out_path, script_path, axis_names, mc_columns is not None)
         written.append(script_path)
     print(f"wrote {len(records)} grid points to {', '.join(written)}")
     return EXIT_OK

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .correlation import PRESETS, SWEEP_PARAMS, SweepAxis, SweepSpec
-from .montecarlo import ROUTING_MODES, SourceParams
+from .montecarlo import NORMALIZATIONS, ROUTING_MODES, SourceParams
 
 MODES = ("analytic", "montecarlo", "verify")
-NORMALIZATIONS = ("analytic", "measured")
 
 _SCALAR_KEYS = (
     "mode",

@@ -57,9 +57,6 @@ class JonesVector:
     def intensity(self) -> float:
         return abs(self.h) ** 2 + abs(self.v) ** 2
 
-    def scaled(self, factor: complex) -> "JonesVector":
-        return JonesVector(h=self.h * factor, v=self.v * factor)
-
 
 @dataclass(frozen=True)
 class TwoModeField:
@@ -67,9 +64,6 @@ class TwoModeField:
 
     upper: JonesVector
     lower: JonesVector
-
-    def total_intensity(self) -> float:
-        return self.upper.intensity() + self.lower.intensity()
 
 
 def beam_splitter_mix(

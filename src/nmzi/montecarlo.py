@@ -31,10 +31,12 @@ whose cost does not grow with the number of time bins:
 
 Singles, coincidences and absorbed photons are sums of the nine fate counts.
 
-Estimation: the coincidence proportion, normalized by the product of singles
-marginals (``1/4`` each analytically, or sweep-averaged measured rates),
-converges to the closed forms in :mod:`nmzi.correlation` with a plain
-binomial standard error.
+Estimation is separate from sampling: :func:`run_experiment` returns each
+point's raw tallies, and :func:`estimate_columns` turns a whole sweep's
+tallies into the Monte Carlo CSV columns at once.  The AD and BC coincidence
+proportions, normalized by the product of singles marginals (``1/4`` each
+analytically, or sweep-averaged measured rates), converge to the closed forms
+in :mod:`nmzi.correlation` with a plain binomial standard error.
 
 Reproducibility: ``SeedSequence(rng_seed)`` spawns one child per sweep point,
 in grid order, and each point makes its three draws from one generator on its
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +58,10 @@ from .correlation import CROSS_STATION_PAIRS, fringe_factors
 DETECTORS = ("A", "B", "C", "D")
 
 ROUTING_MODES = ("paired", "binomial")
+
+NORMALIZATIONS = ("analytic", "measured")
+
+ESTIMATE_COLUMNS = ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC", "n_pairs")
 
 # Phase-averaged singles rate per detector; denominator of the analytic
 # normalization.
@@ -174,38 +180,11 @@ class CoincidenceCounts:
 
 
 @dataclass(frozen=True)
-class EstimatedCorrelation:
-    """Monte Carlo correlation estimate with a binomial error bar.
-
-    ``n_coincidences == 0`` marks a point where the estimate is an exact
-    zero with a degenerate error bar; downstream consumers should treat the
-    flag, not hide it.
-    """
-
-    value: float
-    std_error: float
-    n_effective: int
-    n_coincidences: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.std_error) or self.std_error < 0.0:
-            raise ValueError(f"std_error must be non-negative, got {self.std_error}")
-        if self.n_effective < 0 or self.n_coincidences < 0:
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def is_zero_coincidence(self) -> bool:
-        return self.n_coincidences == 0
-
-
-@dataclass(frozen=True)
 class McPointResult:
-    """Per-sweep-point Monte Carlo output: raw tallies plus estimates."""
+    """Per-sweep-point Monte Carlo output: the raw tallies of one point."""
 
     counts: CoincidenceCounts
     tally: SamplingTally
-    estimates: Mapping[str, EstimatedCorrelation]
-    singles_rates: Mapping[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +193,7 @@ class McPointResult:
 
 def _accumulate_point(
     p: Sequence[float], src: SourceParams, point_seq: np.random.SeedSequence
-) -> tuple[CoincidenceCounts, SamplingTally]:
+) -> McPointResult:
     """Draw one sweep point's source and detection totals (module docstring).
 
     ``p`` holds the point's landing probabilities at detectors (A, B, C, D).
@@ -258,67 +237,11 @@ def _accumulate_point(
         n_multi_bins=n_multi,
         n_routing_rejected=n_rejected,
     )
-    return counts, tally
+    return McPointResult(counts=counts, tally=tally)
 
 
-# ---------------------------------------------------------------------------
-# Estimation
-
-
-def estimate_correlation(
-    counts: CoincidenceCounts,
-    pair: str,
-    normalization: str = "analytic",
-    measured_marginals: Mapping[str, float] | None = None,
-) -> EstimatedCorrelation:
-    """Normalized coincidence-rate estimate for one cross-station pair.
-
-    With ``analytic`` normalization the denominator is the phase-averaged
-    singles product ``(1/4)^2``; with ``measured`` it is the product of
-    sweep-averaged singles rates supplied in ``measured_marginals`` (their
-    sampling error is not propagated -- a documented approximation).
-    """
-    if pair not in CROSS_STATION_PAIRS:
-        raise ValueError(
-            f"pair must be one of {CROSS_STATION_PAIRS}, got {pair!r}"
-        )
-    n = counts.n_post_selected_pairs
-    if n <= 0:
-        raise ValueError("cannot estimate a correlation from zero post-selected pairs")
-    if normalization == "analytic":
-        denominator = ANALYTIC_MARGINAL * ANALYTIC_MARGINAL
-    elif normalization == "measured":
-        if measured_marginals is None:
-            raise ValueError(
-                "measured normalization requires sweep-averaged singles rates"
-            )
-        try:
-            m_i = measured_marginals[pair[0]]
-            m_j = measured_marginals[pair[1]]
-        except KeyError as exc:
-            raise ValueError(f"measured marginal missing for detector {exc}") from exc
-        if m_i <= 0.0 or m_j <= 0.0:
-            raise ValueError("measured marginals must be positive")
-        denominator = m_i * m_j
-    else:
-        raise ValueError(
-            f"normalization must be 'analytic' or 'measured', got {normalization!r}"
-        )
-    n_coinc = counts.coincidences[pair]
-    p_hat = n_coinc / n
-    value = p_hat / denominator
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
-    return EstimatedCorrelation(
-        value=value, std_error=std_error, n_effective=n, n_coincidences=n_coinc
-    )
-
-
-def run_experiment(
-    settings: np.ndarray,
-    src: SourceParams,
-    normalization: str = "analytic",
-) -> list[McPointResult]:
-    """Monte Carlo estimates over an ``(N, 4)`` settings array, one per row.
+def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResult]:
+    """Sample the tallies of an ``(N, 4)`` settings array, one result per row.
 
     Deterministic for a fixed seed: every sweep point gets its own child
     seed by its position in the sweep, so no point's result depends on the
@@ -328,42 +251,62 @@ def run_experiment(
         raise ValueError("settings sweep is empty")
     if not np.isfinite(settings).all():
         raise ValueError("settings must be finite")
-    if normalization not in ("analytic", "measured"):
-        raise ValueError(
-            f"normalization must be 'analytic' or 'measured', got {normalization!r}"
-        )
     probabilities = (fringe_factors(settings) / 4.0).tolist()
     root = np.random.SeedSequence(src.rng_seed)
-    accumulated = [
+    return [
         _accumulate_point(p, src, point_seq)
         for p, point_seq in zip(probabilities, root.spawn(len(probabilities)))
     ]
 
-    marginals: dict | None = None
-    if normalization == "measured":
-        total_pairs = sum(counts.n_post_selected_pairs for counts, _ in accumulated)
+
+# ---------------------------------------------------------------------------
+# Estimation
+
+
+def estimate_columns(
+    results: Sequence[McPointResult], normalization: str
+) -> tuple[np.ndarray, ...]:
+    """The Monte Carlo CSV columns of a sweep, in ``ESTIMATE_COLUMNS`` order.
+
+    ``R_hat = p_hat / den`` and ``stderr = sqrt(p_hat (1 - p_hat) / n) / den``
+    for the AD and BC coincidences, with ``p_hat = k / n`` over the point's
+    ``n`` post-selected pairs.  With ``analytic`` normalization ``den`` is the
+    phase-averaged singles product ``(1/4)^2``; with ``measured`` it is the
+    product of the two detectors' singles rates averaged over the whole sweep
+    (their sampling error is not propagated -- a documented approximation).
+
+    Each column is one array operation over int64 counts, in the order the
+    formulas read; IEEE division and square root round correctly, so every
+    value is bit-identical to the scalar formulas on Python floats as long as
+    the counts stay below 2**53.
+    """
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(
+            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
+        )
+    pairs = [point.counts.n_post_selected_pairs for point in results]
+    if normalization == "analytic":
+        marginals = dict.fromkeys(DETECTORS, ANALYTIC_MARGINAL)
+    else:
+        total_pairs = sum(pairs)
         if total_pairs == 0:
             raise ValueError("no post-selected pairs anywhere in the sweep")
         marginals = {
-            d: sum(counts.singles[d] for counts, _ in accumulated) / total_pairs
+            d: sum(point.counts.singles[d] for point in results) / total_pairs
             for d in DETECTORS
         }
-
-    results = []
-    for counts, tally in accumulated:
-        estimates = {
-            pair: estimate_correlation(counts, pair, normalization, marginals)
-            for pair in CROSS_STATION_PAIRS
-        }
-        rates = {
-            d: counts.singles[d] / counts.n_post_selected_pairs for d in DETECTORS
-        }
-        results.append(
-            McPointResult(
-                counts=counts,
-                tally=tally,
-                estimates=estimates,
-                singles_rates=rates,
-            )
+    n = np.array(pairs, dtype=np.int64)
+    if not (n > 0).all():
+        raise ValueError("cannot estimate a correlation from zero post-selected pairs")
+    if min(marginals.values()) <= 0.0:
+        raise ValueError("measured marginals must be positive")
+    columns = []
+    for pair in ("AD", "BC"):
+        denominator = marginals[pair[0]] * marginals[pair[1]]
+        k = np.array(
+            [point.counts.coincidences[pair] for point in results], dtype=np.int64
         )
-    return results
+        p_hat = k / n
+        std_error = np.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
+        columns += [p_hat / denominator, std_error]
+    return (*columns, n)

@@ -9,13 +9,14 @@ and, when Monte Carlo results ride along:
     R_hat_AD, stderr_AD, R_hat_BC, stderr_BC, n_pairs
 
 The first four are the ``(N, 4)`` settings array, the next six the array
-:func:`nmzi.correlation.record_at` returns for it.  ``R_AD_normalized`` is
-R_AD divided by its maximum over the emitted sweep (0 when the sweep never
-rises above 0), so the column peaks at 1 on any grid that reaches the true
-maximum.  Rows are rendered whole, one format string over all columns per
-row.  Floats are printed with 17 significant digits (full round-trip
-precision) and rows end with a bare newline, making the byte stream a pure
-function of the inputs.
+:func:`nmzi.correlation.record_at` returns for it, and the Monte Carlo five
+the columns :func:`nmzi.montecarlo.estimate_columns` returns for the sweep,
+appended as they are.  ``R_AD_normalized`` is R_AD divided by its maximum
+over the emitted sweep (0 when the sweep never rises above 0), so the column
+peaks at 1 on any grid that reaches the true maximum.  Rows are rendered
+whole, one format string over all columns per row.  Floats are printed with
+17 significant digits (full round-trip precision) and rows end with a bare
+newline, making the byte stream a pure function of the inputs.
 
 Files are written to a temporary name in the target directory and renamed
 into place, so an interrupted run leaves the previous file (or none), never
@@ -31,11 +32,9 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .correlation import RECORD_COLUMNS, SETTINGS_COLUMNS
-from .montecarlo import McPointResult
+from .montecarlo import ESTIMATE_COLUMNS
 
 ANALYTIC_COLUMNS = SETTINGS_COLUMNS + RECORD_COLUMNS + ("R_AD_normalized",)
-
-MC_COLUMNS = ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC", "n_pairs")
 
 # 17 significant digits: enough to reproduce the double exactly.
 _FLOAT = "{:.16e}"
@@ -44,18 +43,18 @@ _FLOAT = "{:.16e}"
 def csv_rows(
     settings: np.ndarray,
     records: np.ndarray,
-    mc_results: Sequence[McPointResult] | None = None,
+    mc_columns: Sequence[np.ndarray] | None = None,
 ) -> list[str]:
     """Render the sweep to CSV lines, header first, each ending in a newline.
 
-    ``records`` is ``record_at(settings)``; ``mc_results``, when given, is
-    aligned with the rows of ``settings``.
+    ``records`` is ``record_at(settings)``; ``mc_columns``, when given, is
+    ``estimate_columns`` of the sweep, aligned with the rows of ``settings``.
     """
     if len(settings) == 0:
         raise ValueError("no records to write; refusing to emit an empty CSV")
-    if mc_results is not None and len(mc_results) != len(settings):
+    if mc_columns is not None and len(mc_columns[-1]) != len(settings):
         raise ValueError(
-            f"Monte Carlo results ({len(mc_results)}) do not align with the "
+            f"Monte Carlo results ({len(mc_columns[-1])}) do not align with the "
             f"analytic records ({len(settings)})"
         )
     r_ad = records[:, RECORD_COLUMNS.index("R_AD")]
@@ -64,17 +63,9 @@ def csv_rows(
     columns = [*settings.T.tolist(), *records.T.tolist(), normalized.tolist()]
     header = ANALYTIC_COLUMNS
     formats = [_FLOAT] * len(columns)
-    if mc_results is not None:
-        ad = [point.estimates["AD"] for point in mc_results]
-        bc = [point.estimates["BC"] for point in mc_results]
-        columns += [
-            [e.value for e in ad],
-            [e.std_error for e in ad],
-            [e.value for e in bc],
-            [e.std_error for e in bc],
-            [point.counts.n_post_selected_pairs for point in mc_results],
-        ]
-        header += MC_COLUMNS
+    if mc_columns is not None:
+        columns += [column.tolist() for column in mc_columns]
+        header += ESTIMATE_COLUMNS
         formats += [_FLOAT] * 4 + ["{}"]
     row = ",".join(formats) + "\n"
     return [",".join(header) + "\n", *map(row.format, *columns)]
@@ -106,10 +97,10 @@ def emit_csv(
     settings: np.ndarray,
     records: np.ndarray,
     path,
-    mc_results: Sequence[McPointResult] | None = None,
+    mc_columns: Sequence[np.ndarray] | None = None,
 ) -> None:
     """Write the sweep to ``path``; validation happens before any file opens."""
-    rows = csv_rows(settings, records, mc_results)
+    rows = csv_rows(settings, records, mc_columns)
     _write_atomically(path, lambda handle: handle.writelines(rows), "CSV")
 
 

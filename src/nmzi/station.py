@@ -167,12 +167,3 @@ def station_outputs_deviation(
     phase /= abs(phase)
     mismatch = max(abs(c - phase * r) for c, r in zip(cand, ref)) / scale
     return max(deviation, mismatch)
-
-
-def station_outputs_match(
-    candidate: StationOutputs,
-    reference: StationOutputs,
-    tol: float = ALGEBRA_TOL,
-) -> bool:
-    """True when the two outputs agree up to one shared global phase."""
-    return station_outputs_deviation(candidate, reference, tol) <= tol

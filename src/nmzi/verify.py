@@ -33,7 +33,7 @@ from .elements import (
     ElementConventions,
     beam_splitter_mix,
 )
-from .montecarlo import DETECTORS, SourceParams, run_experiment
+from .montecarlo import DETECTORS, SourceParams, estimate_columns, run_experiment
 from .station import (
     StationParams,
     closed_form_station,
@@ -226,15 +226,13 @@ def _sigma_or_inf(observed: float, expected: float, sigma: float) -> float:
 
 def _check_mc_convergence(source: SourceParams) -> CheckResult:
     points = synchronized_settings(_PHASES, QUARTER_TURN)
-    results = run_experiment(points, source)
+    r_hat, std_error, *_ = estimate_columns(run_experiment(points, source), "analytic")
     # The sampling target: at phases where the coincidence probability is
     # exactly zero, both the estimate and this truth are exact zeros.
     _, _, _, _, r_ad, _ = record_at(points).T
-    truths = r_ad.tolist()
     worst = 0.0
-    for truth, result in zip(truths, results):
-        est = result.estimates["AD"]
-        worst = max(worst, _sigma_or_inf(est.value, truth, est.std_error))
+    for truth, value, sigma in zip(r_ad.tolist(), r_hat.tolist(), std_error.tolist()):
+        worst = max(worst, _sigma_or_inf(value, truth, sigma))
     return CheckResult(
         "monte carlo correlation converges at 8 synchronized phases (sigmas)",
         worst,
@@ -244,15 +242,15 @@ def _check_mc_convergence(source: SourceParams) -> CheckResult:
 
 def _check_mc_singles(source: SourceParams) -> CheckResult:
     settings = np.array([[0.9, 1.7, QUARTER_TURN, 0.6]])
-    result = run_experiment(settings, source)[0]
-    n = result.counts.n_post_selected_pairs
+    counts = run_experiment(settings, source)[0].counts
+    n = counts.n_post_selected_pairs
+    if n == 0:
+        raise ValueError("cannot estimate singles rates from zero post-selected pairs")
     probabilities = (fringe_factors(settings)[0] / 4.0).tolist()
     worst = 0.0
     for detector, p in zip(DETECTORS, probabilities):
         sigma = math.sqrt(p * (1.0 - p) / n)
-        worst = max(
-            worst, _sigma_or_inf(result.singles_rates[detector], p, sigma)
-        )
+        worst = max(worst, _sigma_or_inf(counts.singles[detector] / n, p, sigma))
     return CheckResult("monte carlo singles follow the fringe (sigmas)", worst, 4.0)
 
 

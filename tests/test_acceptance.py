@@ -24,7 +24,7 @@ from nmzi.correlation import (
     sweep_settings,
     synchronized_settings,
 )
-from nmzi.montecarlo import DETECTORS, SourceParams, run_experiment
+from nmzi.montecarlo import DETECTORS, SourceParams, estimate_columns, run_experiment
 from nmzi.output import csv_rows
 from nmzi.station import (
     StationParams,
@@ -273,24 +273,24 @@ def test_7_photon_counting_reproduces_the_fringe(report):
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )
     results = run_experiment(points, source)
+    r_hat, std_error, *_ = estimate_columns(results, "analytic")
     worst_z = 0.0
     worst_singles_z = 0.0
     worst_stderr = 0.0
     worst_algebra = 0.0
     min_pairs = min(r.counts.n_post_selected_pairs for r in results)
-    for rho, truth, p_point, result in zip(phases, truths, probabilities, results):
-        estimate = result.estimates["AD"]
+    for rho, truth, p_point, result, value, stderr in zip(
+        phases, truths, probabilities, results, r_hat.tolist(), std_error.tolist()
+    ):
         worst_algebra = max(worst_algebra, abs(truth - math.sin(rho) ** 2))
-        worst_z = max(
-            worst_z, _sigmas(estimate.value, truth, estimate.std_error)
-        )
-        worst_stderr = max(worst_stderr, estimate.std_error)
+        worst_z = max(worst_z, _sigmas(value, truth, stderr))
+        worst_stderr = max(worst_stderr, stderr)
         n = result.counts.n_post_selected_pairs
         for detector, p in zip(DETECTORS[:2], p_point[:2]):
             sigma = math.sqrt(p * (1.0 - p) / n)
             worst_singles_z = max(
                 worst_singles_z,
-                _sigmas(result.singles_rates[detector], p, sigma),
+                _sigmas(result.counts.singles[detector] / n, p, sigma),
             )
     elapsed = time.perf_counter() - started
     passed = (

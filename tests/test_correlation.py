@@ -24,7 +24,6 @@ from nmzi.correlation import (
     synchronized_settings,
 )
 from nmzi.elements import ALGEBRA_TOL
-from nmzi.montecarlo import CoincidenceCounts, estimate_correlation
 from nmzi.station import StationParams, closed_form_station
 
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi)
@@ -163,14 +162,6 @@ def test_polarizer_angle_three_quarter_equals_minus_quarter(phi, psi):
     a = columns(one_row(phi, psi, 3 * QUARTER, QUARTER))[4]
     b = columns(one_row(phi, psi, -QUARTER, QUARTER))[4]
     assert abs(a - b) < ALGEBRA_TOL
-
-
-@pytest.mark.parametrize("pair", ["AB", "CD", "DA", "XY", "A", "ADC"])
-def test_general_correlation_rejects_non_cross_pairs(pair):
-    # Pair names reach the runtime only through the estimator.
-    counts = CoincidenceCounts(n_post_selected_pairs=10)
-    with pytest.raises(ValueError):
-        estimate_correlation(counts, pair)
 
 
 @given(angles, angles, angles, angles, st.floats(min_value=1e-6, max_value=100.0))

@@ -23,6 +23,8 @@ ANALYTIC_SHA256 = {
 MONTECARLO_SHA256 = {
     "paired": "f8de70a9ada621c0f70209ddf64142757d8b3babacf8a0cbaeae394a5bcb463b",
     "binomial": "1ddb91c8b96f2e36d4c48d8910aadfeacdd2833790e1d90769d9c454668bdae9",
+    # ROUTING-NORMALIZATION: the same sweep with --normalization measured.
+    "paired-measured": "15d81f3888a764cb39fecc726a7a713d7403a49b1619094f973f61516526892a",
 }
 
 
@@ -38,9 +40,10 @@ def test_analytic_csv_digest(preset, tmp_path, capsys):
     assert _digest(out) == ANALYTIC_SHA256[preset]
 
 
-@pytest.mark.parametrize("routing", sorted(MONTECARLO_SHA256))
-def test_montecarlo_csv_digest(routing, tmp_path, capsys):
-    out = tmp_path / f"mc_{routing}.csv"
+@pytest.mark.parametrize("case", sorted(MONTECARLO_SHA256))
+def test_montecarlo_csv_digest(case, tmp_path, capsys):
+    routing, _, normalization = case.partition("-")
+    out = tmp_path / f"mc_{case}.csv"
     argv = [
         "montecarlo",
         "--sweep", "rho=0:6.4:0.8",
@@ -51,6 +54,8 @@ def test_montecarlo_csv_digest(routing, tmp_path, capsys):
         "--routing", routing,
         "--out", str(out),
     ]
+    if normalization:
+        argv += ["--normalization", normalization]
     assert main(argv) == 0
     capsys.readouterr()
-    assert _digest(out) == MONTECARLO_SHA256[routing]
+    assert _digest(out) == MONTECARLO_SHA256[case]

@@ -12,7 +12,6 @@ from nmzi.elements import (
     DEFAULT_CONVENTIONS,
     ElementConventions,
     JonesVector,
-    TwoModeField,
     beam_splitter_mix,
     half_wave_plate,
     mirror_reflect,
@@ -184,11 +183,6 @@ def test_malus_law_for_pure_h(zeta):
 
 
 # ------------------------------------------------------------- types / plumbing
-
-def test_two_mode_field_total_intensity():
-    f = TwoModeField(upper=jones(1.0, 1j), lower=jones(0.5, 0.0))
-    assert abs(f.total_intensity() - 2.25) < ALGEBRA_TOL
-
 
 def test_mirror_applies_convention_phase():
     conv = ElementConventions(mirror_phase=-1.0)

@@ -13,19 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from nmzi.correlation import (
-    CROSS_STATION_PAIRS,
-    QUARTER_TURN,
-    fringe_factors,
-    synchronized_settings,
-)
+from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
 from nmzi.montecarlo import (
     DETECTORS,
+    ESTIMATE_COLUMNS,
     CoincidenceCounts,
-    EstimatedCorrelation,
     McPointResult,
+    SamplingTally,
     SourceParams,
-    estimate_correlation,
+    estimate_columns,
     run_experiment,
 )
 
@@ -49,6 +45,12 @@ def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
         mean_photon_number=mu, n_time_bins=n_bins, rng_seed=seed, **kw
     )
     return run_experiment(settings, src)[0]
+
+
+def estimate_ad(result):
+    """R_hat_AD and stderr_AD of one point, analytic normalization."""
+    r_hat, std_error, *_ = estimate_columns([result], "analytic")
+    return r_hat[0], std_error[0]
 
 
 # Source statistics do not depend on the detector settings.
@@ -266,7 +268,7 @@ def test_singles_fringe_matches_port_probability(phi):
     }
     for d in DETECTORS:
         sigma = binom_sigma(expected[d], n)
-        assert abs(result.singles_rates[d] - expected[d]) < 4.0 * sigma
+        assert abs(result.counts.singles[d] / n - expected[d]) < 4.0 * sigma
 
 
 @pytest.mark.parametrize("phi", [0.0, 1.3, math.pi])
@@ -299,45 +301,95 @@ def test_estimate_synchronized_peak():
         n_bins=4_000_000,
         seed=71,
     )
-    est = result.estimates["AD"]
-    assert est.std_error > 0
-    assert abs(est.value - 1.0) <= 5.0 * est.std_error
-    assert est.n_effective == result.counts.n_post_selected_pairs
-    assert est.n_coincidences == result.counts.coincidences["AD"]
+    value, std_error = estimate_ad(result)
+    assert std_error > 0
+    assert abs(value - 1.0) <= 5.0 * std_error
+    n_pairs = estimate_columns([result], "analytic")[-1]
+    assert n_pairs.tolist() == [result.counts.n_post_selected_pairs]
 
 
 def test_estimate_zero_phase_is_exactly_zero():
     result = run_single_point(
         synchronized_settings(0.0, QUARTER_TURN), mu=0.1, n_bins=1_000_000, seed=73
     )
-    est = result.estimates["AD"]
+    value, std_error = estimate_ad(result)
     # The dark port has probability exactly zero, so no AD coincidence can
-    # ever occur, and the zero is flagged rather than hidden.
+    # ever occur.
     assert result.counts.coincidences["AD"] == 0
-    assert est.value == 0.0
-    assert est.std_error == 0.0
-    assert est.n_coincidences == 0
-    assert est.is_zero_coincidence
+    assert value == 0.0
+    assert std_error == 0.0
 
 
 def test_estimate_antisynchronized_peak_is_four():
     s = np.array([[math.pi, 0.0, QUARTER_TURN, QUARTER_TURN]])
     result = run_single_point(s, mu=0.1, n_bins=2_000_000, seed=79)
-    est = result.estimates["AD"]
-    assert abs(est.value - 4.0) <= 5.0 * est.std_error
+    value, std_error = estimate_ad(result)
+    assert abs(value - 4.0) <= 5.0 * std_error
 
 
 def test_estimate_rejects_degenerate_inputs():
+    empty = McPointResult(CoincidenceCounts(), SamplingTally())
+    with pytest.raises(ValueError, match="zero post-selected pairs"):
+        estimate_columns([empty], "analytic")
+    with pytest.raises(ValueError, match="anywhere in the sweep"):
+        estimate_columns([empty], "measured")
+    point = run_single_point(np.array([[1.0, 1.0, 0.5, 0.5]]), n_bins=100_000)
+    with pytest.raises(ValueError, match="zero post-selected pairs"):
+        estimate_columns([point, empty], "measured")
+    # Detectors A and C never fire at this point.
+    dark = run_single_point(np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]]))
+    with pytest.raises(ValueError, match="marginals must be positive"):
+        estimate_columns([dark], "measured")
     with pytest.raises(ValueError):
-        estimate_correlation(CoincidenceCounts(), "AD")
-    s = np.array([[1.0, 1.0, 0.5, 0.5]])
-    counts = run_single_point(s, n_bins=100_000).counts
-    with pytest.raises(ValueError):
-        estimate_correlation(counts, "AB")  # not a cross-station pair
-    with pytest.raises(ValueError):
-        estimate_correlation(counts, "AD", normalization="measured")
-    with pytest.raises(ValueError):
-        estimate_correlation(counts, "AD", normalization="bogus")
+        estimate_columns([point], "bogus")
+
+
+def scalar_columns(points, normalization):
+    """ESTIMATE_COLUMNS restated one point at a time, on Python ints and floats."""
+    if normalization == "analytic":
+        marginal = dict.fromkeys(DETECTORS, 0.25)
+    else:
+        total = sum(c.n_post_selected_pairs for c in points)
+        marginal = {d: sum(c.singles[d] for c in points) / total for d in DETECTORS}
+    rows = []
+    for c in points:
+        n = c.n_post_selected_pairs
+        row = []
+        for pair in ("AD", "BC"):
+            denominator = marginal[pair[0]] * marginal[pair[1]]
+            p_hat = c.coincidences[pair] / n
+            row += [p_hat / denominator, math.sqrt(p_hat * (1.0 - p_hat) / n) / denominator]
+        rows.append(row + [n])
+    return rows
+
+
+@st.composite
+def point_counts(draw):
+    # Counts below 2**53, where the columnar floats must equal the scalar ones.
+    n = draw(st.integers(1, 2**53 - 1))
+    below_n = st.integers(0, n)
+    return CoincidenceCounts(
+        n_post_selected_pairs=n,
+        singles={d: draw(st.integers(1, n)) for d in DETECTORS},
+        coincidences={"AD": draw(below_n), "BC": draw(below_n), "AC": 0, "BD": 0},
+    )
+
+
+@given(
+    points=st.lists(point_counts(), min_size=1, max_size=6),
+    normalization=st.sampled_from(["analytic", "measured"]),
+)
+def test_estimate_columns_equal_scalar_formulas_bit_for_bit(points, normalization):
+    results = [McPointResult(counts=c, tally=SamplingTally()) for c in points]
+    columns = estimate_columns(results, normalization)
+    assert len(columns) == len(ESTIMATE_COLUMNS)
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    expected = scalar_columns(points, normalization)
+    assert [row[-1] for row in rows] == [row[-1] for row in expected]
+    assert all(type(row[-1]) is int for row in rows)
+    assert [[v.hex() for v in row[:-1]] for row in rows] == [
+        [v.hex() for v in row[:-1]] for row in expected
+    ]
 
 
 def test_measured_normalization_close_to_analytic():
@@ -347,13 +399,13 @@ def test_measured_normalization_close_to_analytic():
     phases = [2.0 * math.pi * k / 8.0 for k in range(8)]
     points = synchronized_settings(phases, QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1_000_000, rng_seed=83)
-    analytic = run_experiment(points, src, normalization="analytic")
-    measured = run_experiment(points, src, normalization="measured")
-    for res_a, res_m in zip(analytic, measured):
-        assert res_a.counts.coincidences == res_m.counts.coincidences
-        est_a, est_m = res_a.estimates["AD"], res_m.estimates["AD"]
-        assert abs(est_a.value - est_m.value) < 0.15
-        assert est_m.std_error > 0 or est_m.n_coincidences == 0
+    results = run_experiment(points, src)
+    r_analytic, _, _, _, n_analytic = estimate_columns(results, "analytic")
+    r_measured, se_measured, _, _, n_measured = estimate_columns(results, "measured")
+    assert n_analytic.tolist() == n_measured.tolist()
+    for r_a, r_m, se_m, result in zip(r_analytic, r_measured, se_measured, results):
+        assert abs(r_a - r_m) < 0.15
+        assert se_m > 0 or result.counts.coincidences["AD"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +421,10 @@ def test_run_experiment_preserves_grid_and_determinism():
     for r1, r2 in zip(first, second):
         assert r1.counts == r2.counts
         assert r1.tally == r2.tally
-        for pair in CROSS_STATION_PAIRS:
-            assert r1.estimates[pair].value == r2.estimates[pair].value
-            assert r1.estimates[pair].std_error == r2.estimates[pair].std_error
+    for c1, c2 in zip(
+        estimate_columns(first, "analytic"), estimate_columns(second, "analytic")
+    ):
+        assert c1.tolist() == c2.tolist()
     for r in first:
         assert isinstance(r, McPointResult)
         assert r.tally.n_bins == 200_000
@@ -410,8 +463,8 @@ def test_convergence_ensemble_is_standard_normal():
         src = SourceParams(
             mean_photon_number=0.2, n_time_bins=300_000, rng_seed=seed
         )
-        est = run_experiment(point, src)[0].estimates["AD"]
-        z_values.append((est.value - truth) / est.std_error)
+        value, std_error = estimate_ad(run_experiment(point, src)[0])
+        z_values.append((value - truth) / std_error)
     within = sum(1 for z in z_values if abs(z) <= 2.0)
     assert within >= 0.9 * len(z_values)
     assert all(abs(z) < 5.0 for z in z_values)
@@ -427,16 +480,9 @@ def test_std_error_scales_as_inverse_sqrt_pairs():
         large = SourceParams(
             mean_photon_number=0.2, n_time_bins=800_000, rng_seed=seed
         )
-        se_small = run_experiment(point, small)[0].estimates["AD"].std_error
-        se_large = run_experiment(point, large)[0].estimates["AD"].std_error
+        _, se_small = estimate_ad(run_experiment(point, small)[0])
+        _, se_large = estimate_ad(run_experiment(point, large)[0])
         ratios.append(se_small / se_large)
     mean_ratio = sum(ratios) / len(ratios)
     # Quadrupling the bins quadruples the pairs, halving the error.
     assert 1.8 < mean_ratio < 2.2
-
-
-def test_estimated_correlation_validates_fields():
-    with pytest.raises(ValueError):
-        EstimatedCorrelation(value=1.0, std_error=-0.1, n_effective=10, n_coincidences=1)
-    with pytest.raises(ValueError):
-        EstimatedCorrelation(value=1.0, std_error=0.1, n_effective=-1, n_coincidences=0)

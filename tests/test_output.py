@@ -8,10 +8,14 @@ import pytest
 
 from nmzi import output
 from nmzi.correlation import PRESETS, record_at, sweep_settings
-from nmzi.montecarlo import SourceParams, run_experiment
+from nmzi.montecarlo import (
+    ESTIMATE_COLUMNS,
+    SourceParams,
+    estimate_columns,
+    run_experiment,
+)
 from nmzi.output import (
     ANALYTIC_COLUMNS,
-    MC_COLUMNS,
     csv_rows,
     emit_csv,
     emit_gnuplot,
@@ -95,19 +99,21 @@ def test_mc_columns_and_alignment(tmp_path):
     settings, records = sweep("fig2")
     settings, records = settings[:20], records[:20]
     src = SourceParams(mean_photon_number=0.2, n_time_bins=50_000, rng_seed=6)
-    mc = run_experiment(settings, src)
+    results = run_experiment(settings, src)
+    mc = estimate_columns(results, "analytic")
     path = tmp_path / "mc.csv"
     emit_csv(settings, records, path, mc)
     with open(path, newline="") as handle:
         header = next(csv.reader(handle))
-    assert header == list(ANALYTIC_COLUMNS) + list(MC_COLUMNS)
+    assert header == list(ANALYTIC_COLUMNS) + list(ESTIMATE_COLUMNS)
     rows = read_rows(path)
-    for row, point in zip(rows, mc):
+    r_hat_ad, _, _, stderr_bc, _ = mc
+    for row, point, r_hat, stderr in zip(rows, results, r_hat_ad, stderr_bc):
         assert int(row["n_pairs"]) == point.counts.n_post_selected_pairs
-        assert float(row["R_hat_AD"]) == point.estimates["AD"].value
-        assert float(row["stderr_BC"]) == point.estimates["BC"].std_error
+        assert float(row["R_hat_AD"]) == r_hat
+        assert float(row["stderr_BC"]) == stderr
     with pytest.raises(ValueError, match="do not align"):
-        emit_csv(settings, records, path, mc[:-1])
+        emit_csv(settings, records, path, [column[:-1] for column in mc])
 
 
 def test_byte_determinism_analytic(tmp_path):
@@ -123,8 +129,9 @@ def test_byte_determinism_mc(tmp_path):
     settings, records = settings[:8], records[:8]
     src = SourceParams(mean_photon_number=0.1, n_time_bins=100_000, rng_seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(settings, records, a, run_experiment(settings, src))
-    emit_csv(settings, records, b, run_experiment(settings, src))
+    for path in (a, b):
+        mc = estimate_columns(run_experiment(settings, src), "analytic")
+        emit_csv(settings, records, path, mc)
     assert a.read_bytes() == b.read_bytes()
 
 

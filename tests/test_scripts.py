@@ -49,3 +49,8 @@ def test_mc_convergence_prints_its_summary(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "/3 seeds within 2 sigma" in done.stdout
+    # The truth at the default rho = 1 is sin^2(1), not zero: a seed that
+    # counted no coincidence lies below it, whatever its +-0 error bar says.
+    rows = [line.split() for line in done.stdout.splitlines() if line[:4].strip().isdigit()]
+    assert len(rows) == 3
+    assert not [row for row in rows if row[2] == "0.00000" and row[4] == "0.00"]
