@@ -40,6 +40,8 @@ def main() -> int:
         "--rho", type=float, default=1.0, help="synchronized phase (radians)"
     )
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     print(f"rho={args.rho}  mu={args.mu}  bins={args.bins}")
     print(f"{'seed':>4}  {'pairs':>7}  {'R_hat':>9}  {'stderr':>9}  {'z':>6}")
@@ -63,8 +65,9 @@ def main() -> int:
 
     _, small, _, _ = _estimate(args.rho, args.mu, args.bins, 0)
     _, big, _, _ = _estimate(args.rho, args.mu, 4 * args.bins, 0)
-    ratio = small / big
-    print(f"stderr ratio at 4x the bins: {ratio:.2f} (expect ~{math.sqrt(4.0):.1f})")
+    # A seed that counts no coincidence, or only coincidences, reports +-0.
+    ratio = f"{small / big:.2f}" if big > 0.0 else "undefined (zero stderr)"
+    print(f"stderr ratio at 4x the bins: {ratio} (expect ~{math.sqrt(4.0):.1f})")
     return 0
 
 

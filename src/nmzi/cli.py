@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
-from .montecarlo import SourceParams, estimate_columns, run_experiment
+from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
 from .verify import run_verification
 
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     )
     mc.add_argument(
         "--normalization",
-        choices=("analytic", "measured"),
+        choices=NORMALIZATIONS,
         help="coincidence normalization (default analytic)",
     )
     ver = sub.add_parser(
@@ -169,11 +169,8 @@ def _run_sweep_mode(config: RunConfig) -> int:
     records = record_at(settings)
     mc_columns = None
     if config.mode == "montecarlo":
-        source = config.source or SourceParams(
-            mean_photon_number=0.05, n_time_bins=1_000_000
-        )
         mc_columns = estimate_columns(
-            run_experiment(settings, source), config.normalization
+            run_experiment(settings, config.source), config.normalization
         )
     out_path = _resolve_out_path(config)
     emit_csv(settings, records, out_path, mc_columns)
@@ -188,9 +185,7 @@ def _run_sweep_mode(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    report = run_verification(
-        include_montecarlo=not args.skip_montecarlo, source=config.source
-    )
+    report = run_verification(None if args.skip_montecarlo else config.source)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED

@@ -11,12 +11,14 @@ The grammar is intentionally small.  Scalar keys::
     angles = radians | degrees
 
 plus per-parameter keys ``sweep.<param> = start:stop:step`` and
-``fix.<param> = value`` for explicit grids.  A grid may have at most
-``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
-larger grid is rejected before any point is built.  ``#`` starts a comment;
-blank lines are ignored.  Later occurrences of a key are rejected rather than
-silently shadowed.  CLI flags arrive here as an override mapping in the same
-grammar and take precedence over file values.
+``fix.<param> = value`` for explicit grids.  A key the mode does not read is
+refused: the source keys and ``normalization`` under ``analytic``; the grid,
+output, ``normalization`` and ``angles`` keys under ``verify``.  A grid may
+have at most ``MAX_GRID_POINTS`` (10^7) points; the count comes from the
+axes, so a larger grid is rejected before any point is built.  ``#`` starts
+a comment; blank lines are ignored.  Later occurrences of a key are rejected
+rather than silently shadowed.  CLI flags arrive here as an override mapping
+in the same grammar and take precedence over file values.
 
 ``angles = degrees`` is a parse directive: it converts every angle-valued
 entry to radians while parsing and is not stored -- a parsed RunConfig is
@@ -26,11 +28,11 @@ always in radians, and its canonical text form is too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .correlation import PRESETS, SWEEP_PARAMS, SweepAxis, SweepSpec
-from .montecarlo import NORMALIZATIONS, ROUTING_MODES, SourceParams
+from .montecarlo import NORMALIZATIONS, SourceParams
 
 MODES = ("analytic", "montecarlo", "verify")
 
@@ -46,6 +48,14 @@ _SCALAR_KEYS = (
     "gnuplot",
     "angles",
 )
+
+# Keys (or key prefixes before a dot) that a mode does not read; giving one
+# is an error rather than silently ignored.
+_UNREAD_KEYS = {
+    "analytic": ("mu", "bins", "seed", "routing", "normalization"),
+    "montecarlo": (),
+    "verify": ("preset", "sweep", "fix", "out", "gnuplot", "normalization", "angles"),
+}
 
 _DEFAULT_MU = 0.05
 _DEFAULT_BINS = 1_000_000
@@ -181,18 +191,21 @@ def parse_config(
         _validate_key(key)
         raw[key] = value
 
+    mode = raw.pop("mode", None)
+    if mode is None:
+        raise ConfigError("missing config key 'mode'")
+    if mode not in MODES:
+        raise ConfigError(f"config key 'mode': expected one of {MODES}, got {mode!r}")
+    for key in raw:
+        if key.partition(".")[0] in _UNREAD_KEYS[mode]:
+            raise ConfigError(f"config key {key!r} does not apply to mode {mode!r}")
+
     angles = raw.pop("angles", "radians")
     if angles not in ("radians", "degrees"):
         raise ConfigError(
             f"config key 'angles': expected radians or degrees, got {angles!r}"
         )
     to_radians = math.radians if angles == "degrees" else (lambda x: x)
-
-    mode = raw.pop("mode", None)
-    if mode is None:
-        raise ConfigError("missing config key 'mode'")
-    if mode not in MODES:
-        raise ConfigError(f"config key 'mode': expected one of {MODES}, got {mode!r}")
 
     preset = raw.pop("preset", None)
     if preset is not None and preset not in PRESETS:
@@ -225,9 +238,8 @@ def parse_config(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
 
-    source_keys = ("mu", "bins", "seed", "routing")
     source = None
-    if mode in ("montecarlo", "verify") or any(k in raw for k in source_keys):
+    if mode in ("montecarlo", "verify"):
         try:
             source = SourceParams(
                 mean_photon_number=_as_float("mu", raw.pop("mu", str(_DEFAULT_MU))),
@@ -280,7 +292,8 @@ def canonical_config_text(config: RunConfig) -> str:
         lines.append(f"bins = {src.n_time_bins}")
         lines.append(f"seed = {src.rng_seed}")
         lines.append(f"routing = {src.routing}")
-    lines.append(f"normalization = {config.normalization}")
+    if config.mode == "montecarlo":
+        lines.append(f"normalization = {config.normalization}")
     if config.out_path is not None:
         lines.append(f"out = {config.out_path}")
     if config.gnuplot:
@@ -295,12 +308,8 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
         if not config.fixed:
             return base
         axes, fixed = base.axes, {**base.fixed, **config.fixed_values}
-    elif config.sweep_axes:
-        axes, fixed = config.sweep_axes, config.fixed_values
     else:
-        raise ConfigError(
-            "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
-        )
+        axes, fixed = config.sweep_axes, config.fixed_values
     try:
         return SweepSpec(axes=axes, fixed=fixed)
     except ValueError as exc:

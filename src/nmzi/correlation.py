@@ -31,10 +31,6 @@ import numpy as np
 
 QUARTER_TURN = math.pi / 4
 
-# Detector pairs with one detector per station; correlations are defined only
-# across the two parties.
-CROSS_STATION_PAIRS = ("AD", "BC", "AC", "BD")
-
 # Columns of a settings array, and of the array record_at returns.
 SETTINGS_COLUMNS = ("phi", "psi", "xi", "theta")
 RECORD_COLUMNS = ("i_A", "i_B", "i_C", "i_D", "R_AD", "R_BC")

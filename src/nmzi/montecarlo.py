@@ -29,7 +29,10 @@ whose cost does not grow with the number of time bins:
    (A|B|loss) x (C|D|loss), each the product of the two photons' landing
    probabilities.
 
-Singles, coincidences and absorbed photons are sums of the nine fate counts.
+The nine fate counts are the stored record of a point's detection:
+``counts.fates``, in ``FATES`` order (AC, AD, Ax, BC, BD, Bx, xC, xD, xx,
+where ``x`` is an absorbed photon).  Singles, coincidences and the number of
+post-selected pairs are sums of them.
 
 Estimation is separate from sampling: :func:`run_experiment` returns each
 point's raw tallies, and :func:`estimate_columns` turns a whole sweep's
@@ -47,21 +50,31 @@ in the sweep, and results are bit-identical for a given seed.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import starmap
 from typing import Sequence
 
 import numpy as np
 
-from .correlation import CROSS_STATION_PAIRS, fringe_factors
+from .correlation import fringe_factors
 
 DETECTORS = ("A", "B", "C", "D")
+
+# The nine joint fates of a post-selected pair, in the sampler's draw order:
+# Alice's photon at A, B or absorbed (x), times Bob's at C, D or x.
+FATES = ("AC", "AD", "Ax", "BC", "BD", "Bx", "xC", "xD", "xx")
 
 ROUTING_MODES = ("paired", "binomial")
 
 NORMALIZATIONS = ("analytic", "measured")
 
 ESTIMATE_COLUMNS = ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC", "n_pairs")
+
+# One point's fates as native int64 bytes: struct packs Python ints into an
+# array faster than numpy converts them one at a time.
+_FATE_ROW = struct.Struct(f"{len(FATES)}q")
 
 # Phase-averaged singles rate per detector; denominator of the analytic
 # normalization.
@@ -109,74 +122,47 @@ class SourceParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingTally:
     """Bin-level bookkeeping of the source sampling."""
 
-    n_bins: int = 0
-    n_pair_bins: int = 0
-    n_multi_bins: int = 0
-    n_routing_rejected: int = 0
+    n_bins: int
+    n_pair_bins: int
+    n_multi_bins: int
+    n_routing_rejected: int
 
     @property
     def n_post_selected(self) -> int:
         return self.n_pair_bins - self.n_routing_rejected
 
 
-def _zero_singles() -> dict:
-    return {d: 0 for d in DETECTORS}
-
-
-def _zero_coincidences() -> dict:
-    return {pair: 0 for pair in CROSS_STATION_PAIRS}
-
-
-@dataclass
+@dataclass(frozen=True)
 class CoincidenceCounts:
-    """Detection tallies over the post-selected pairs.
+    """The post-selected pairs, counted by joint fate.
 
-    ``loss_events`` counts absorbed photons (not bins): a pair losing both
-    photons contributes two.
+    ``fates`` holds one count per entry of ``FATES``, in that order.  Every
+    other tally is a sum of these nine.
     """
 
-    n_post_selected_pairs: int = 0
-    singles: dict = field(default_factory=_zero_singles)
-    coincidences: dict = field(default_factory=_zero_coincidences)
-    loss_events: int = 0
+    fates: tuple[int, ...]
 
     @property
-    def alice_losses(self) -> int:
-        return self.n_post_selected_pairs - self.singles["A"] - self.singles["B"]
+    def n_post_selected_pairs(self) -> int:
+        return sum(self.fates)
 
     @property
-    def bob_losses(self) -> int:
-        return self.n_post_selected_pairs - self.singles["C"] - self.singles["D"]
+    def singles(self) -> dict:
+        """Detections per detector: the sum of the fates that name it."""
+        return {
+            d: sum(k for fate, k in zip(FATES, self.fates) if d in fate)
+            for d in DETECTORS
+        }
 
-    def validate(self) -> None:
-        """Check the count identities; raise ValueError if the ledger broke."""
-        n = self.n_post_selected_pairs
-        if n < 0 or self.loss_events < 0:
-            raise ValueError("counters must be non-negative")
-        if any(v < 0 for v in self.singles.values()) or any(
-            v < 0 for v in self.coincidences.values()
-        ):
-            raise ValueError("counters must be non-negative")
-        if self.alice_losses < 0 or self.bob_losses < 0:
-            raise ValueError("singles exceed the number of post-selected pairs")
-        if self.alice_losses + self.bob_losses != self.loss_events:
-            raise ValueError(
-                "loss ledger out of balance: "
-                f"{self.alice_losses} + {self.bob_losses} != {self.loss_events}"
-            )
-        both_detected = sum(self.coincidences.values())
-        if both_detected > n:
-            raise ValueError("more coincidences than post-selected pairs")
-        missed = n - both_detected
-        if not missed <= self.loss_events <= 2 * missed:
-            raise ValueError(
-                f"loss_events={self.loss_events} inconsistent with "
-                f"{missed} non-coincidence pairs"
-            )
+    @property
+    def coincidences(self) -> dict:
+        """Both photons detected, by cross-station pair (AC, AD, BC, BD)."""
+        a_c, a_d, _, b_c, b_d, *_ = self.fates
+        return {"AC": a_c, "AD": a_d, "BC": b_c, "BD": b_d}
 
 
 @dataclass(frozen=True)
@@ -209,35 +195,17 @@ def _accumulate_point(
         src.n_time_bins, [p_pair, p_multi, p_low]
     ).tolist()
     n_rejected = int(rng.binomial(n_pair, 0.5)) if src.routing == "binomial" else 0
-    n_post = n_pair - n_rejected
 
     p_a, p_b, p_c, p_d = p
-    alice = (p_a, p_b, 0.5)
-    bob = (p_c, p_d, 0.5)
-    # Rows: Alice's photon at A, B or absorbed (x); columns: Bob's at C, D, x.
-    (a_c, a_d, a_x), (b_c, b_d, b_x), (x_c, x_d, x_x) = (
-        rng.multinomial(n_post, [pa * pb for pa in alice for pb in bob])
-        .reshape(3, 3)
-        .tolist()
+    # In FATES order: each of Alice's three fates times each of Bob's.
+    fates = rng.multinomial(
+        n_pair - n_rejected,
+        [pa * pb for pa in (p_a, p_b, 0.5) for pb in (p_c, p_d, 0.5)],
     )
-    counts = CoincidenceCounts(
-        n_post_selected_pairs=n_post,
-        singles={
-            "A": a_c + a_d + a_x,
-            "B": b_c + b_d + b_x,
-            "C": a_c + b_c + x_c,
-            "D": a_d + b_d + x_d,
-        },
-        coincidences={"AD": a_d, "BC": b_c, "AC": a_c, "BD": b_d},
-        loss_events=(x_c + x_d + x_x) + (a_x + b_x + x_x),
+    return McPointResult(
+        counts=CoincidenceCounts(tuple(fates.tolist())),
+        tally=SamplingTally(src.n_time_bins, n_pair, n_multi, n_rejected),
     )
-    tally = SamplingTally(
-        n_bins=src.n_time_bins,
-        n_pair_bins=n_pair,
-        n_multi_bins=n_multi,
-        n_routing_rejected=n_rejected,
-    )
-    return McPointResult(counts=counts, tally=tally)
 
 
 def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResult]:
@@ -284,18 +252,20 @@ def estimate_columns(
         raise ValueError(
             f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
-    pairs = [point.counts.n_post_selected_pairs for point in results]
+    fates = np.frombuffer(
+        b"".join(starmap(_FATE_ROW.pack, (point.counts.fates for point in results))),
+        dtype=np.int64,
+    ).reshape(-1, len(FATES))
+    n = fates.sum(axis=1)
     if normalization == "analytic":
         marginals = dict.fromkeys(DETECTORS, ANALYTIC_MARGINAL)
     else:
-        total_pairs = sum(pairs)
+        # Sweep totals as Python ints: an int64 sum over many points can wrap.
+        sweep = CoincidenceCounts(tuple(sum(column) for column in fates.T.tolist()))
+        total_pairs = sweep.n_post_selected_pairs
         if total_pairs == 0:
             raise ValueError("no post-selected pairs anywhere in the sweep")
-        marginals = {
-            d: sum(point.counts.singles[d] for point in results) / total_pairs
-            for d in DETECTORS
-        }
-    n = np.array(pairs, dtype=np.int64)
+        marginals = {d: k / total_pairs for d, k in sweep.singles.items()}
     if not (n > 0).all():
         raise ValueError("cannot estimate a correlation from zero post-selected pairs")
     if min(marginals.values()) <= 0.0:
@@ -303,10 +273,7 @@ def estimate_columns(
     columns = []
     for pair in ("AD", "BC"):
         denominator = marginals[pair[0]] * marginals[pair[1]]
-        k = np.array(
-            [point.counts.coincidences[pair] for point in results], dtype=np.int64
-        )
-        p_hat = k / n
+        p_hat = fates[:, FATES.index(pair)] / n
         std_error = np.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
         columns += [p_hat / denominator, std_error]
     return (*columns, n)

@@ -214,10 +214,6 @@ def _check_local_basis_sum() -> CheckResult:
     )
 
 
-def _default_source() -> SourceParams:
-    return SourceParams(mean_photon_number=0.05, n_time_bins=400_000, rng_seed=20260815)
-
-
 def _sigma_or_inf(observed: float, expected: float, sigma: float) -> float:
     if sigma > 0.0:
         return abs(observed - expected) / sigma
@@ -267,11 +263,13 @@ def _check_mc_post_selection(source: SourceParams) -> CheckResult:
 
 
 def run_verification(
-    include_montecarlo: bool = True,
-    source: SourceParams | None = None,
+    source: SourceParams | None,
     conventions: ElementConventions = DEFAULT_CONVENTIONS,
 ) -> VerificationReport:
-    """Evaluate every invariant check and collect the report."""
+    """Evaluate every invariant check and collect the report.
+
+    The Monte Carlo checks sample from ``source``; ``None`` skips them.
+    """
     checks = [
         _check_composed_station(conventions),
         _check_beam_splitter_unitarity(),
@@ -282,11 +280,10 @@ def run_verification(
         _check_probability_conservation(),
         _check_local_basis_sum(),
     ]
-    if include_montecarlo:
-        mc_source = source if source is not None else _default_source()
+    if source is not None:
         checks += [
-            _check_mc_convergence(mc_source),
-            _check_mc_singles(mc_source),
-            _check_mc_post_selection(mc_source),
+            _check_mc_convergence(source),
+            _check_mc_singles(source),
+            _check_mc_post_selection(source),
         ]
     return VerificationReport(checks=tuple(checks))

@@ -205,3 +205,14 @@ def test_removed_streams_key_exits_one_and_names_it(tmp_path, capsys):
     assert "config key 'streams' was removed" in capsys.readouterr().err
     assert main(["montecarlo", "--preset", "fig2", "--streams", "4"]) == 1
     assert "--streams" in capsys.readouterr().err
+
+
+def test_config_keys_a_mode_does_not_read_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = fig2\nmu = 0.1\n")
+    assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: config key 'mu' does not apply to mode 'analytic'" in err
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "config key 'preset' does not apply to mode 'verify'" in capsys.readouterr().err

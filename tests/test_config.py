@@ -1,6 +1,7 @@
 """Config parsing: grammar, overrides, unit conversion, canonical round-trip."""
 
 import math
+import re
 
 import pytest
 
@@ -132,6 +133,40 @@ def test_montecarlo_defaults():
     assert config.normalization == "analytic"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mu", "0.1"),
+        ("bins", "1000"),
+        ("seed", "3"),
+        ("routing", "binomial"),
+        ("normalization", "measured"),
+    ],
+)
+def test_analytic_refuses_keys_it_does_not_read(key, value):
+    message = f"config key '{key}' does not apply to mode 'analytic'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(f"mode = analytic\npreset = fig2\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("preset", "fig2"),
+        ("sweep.phi", "0:1:0.5"),
+        ("fix.psi", "0.3"),
+        ("out", "x.csv"),
+        ("gnuplot", "true"),
+        ("normalization", "measured"),
+        ("angles", "degrees"),
+    ],
+)
+def test_verify_refuses_keys_it_does_not_read(key, value):
+    message = f"config key '{key}' does not apply to mode 'verify'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(f"mode = verify\n{key} = {value}\n")
+
+
 def test_source_validation_surfaces_as_config_error():
     with pytest.raises(ConfigError, match="mean_photon_number"):
         parse_config("mode = montecarlo\npreset = fig2\nmu = -1\n")
@@ -216,7 +251,7 @@ def test_build_sweep_spec_resolves_presets_and_axes():
         )
     )
     assert explicit.axes[0].name == "phi"
-    with pytest.raises(ConfigError, match="no sweep specified"):
+    with pytest.raises(ConfigError, match="at least one axis"):
         build_sweep_spec(RunConfig(mode="verify"))
 
 

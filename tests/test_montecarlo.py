@@ -11,12 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
 from nmzi.montecarlo import (
     DETECTORS,
     ESTIMATE_COLUMNS,
+    FATES,
     CoincidenceCounts,
     McPointResult,
     SamplingTally,
@@ -192,7 +193,8 @@ def test_dark_port_never_fires():
     assert counts.singles["C"] == 0
     sigma = binom_sigma(0.5, n)
     assert abs(counts.singles["B"] / n - 0.5) < 4.0 * sigma
-    assert abs(counts.alice_losses / n - 0.5) < 4.0 * sigma
+    alice_losses = n - counts.singles["A"] - counts.singles["B"]
+    assert abs(alice_losses / n - 0.5) < 4.0 * sigma
     assert abs(counts.singles["D"] / n - 0.5) < 4.0 * sigma
 
 
@@ -215,8 +217,11 @@ def test_detection_flat_at_zero_polarizer():
 def test_sampled_counts_are_well_formed(phi, xi, seed, routing):
     s = np.array([[phi, 0.3, xi, 0.7]])
     result = run_single_point(s, n_bins=20_000, seed=seed, routing=routing)
-    result.counts.validate()
+    fates = result.counts.fates
+    assert len(fates) == len(FATES) == 9
+    assert all(type(k) is int and k >= 0 for k in fates)
     tally = result.tally
+    assert sum(fates) == tally.n_post_selected
     assert tally.n_bins == 20_000
     assert tally.n_pair_bins + tally.n_multi_bins <= tally.n_bins
     assert result.counts.n_post_selected_pairs == tally.n_post_selected >= 0
@@ -228,27 +233,18 @@ def test_sampled_counts_are_well_formed(phi, xi, seed, routing):
 
 def test_counts_identities_hold():
     s = np.array([[0.9, 1.7, 0.5, 0.4]])
-    result = run_single_point(s)
-    c = result.counts
-    n = c.n_post_selected_pairs
-    assert n > 0
-    c.validate()
-    alice_losses = n - c.singles["A"] - c.singles["B"]
-    bob_losses = n - c.singles["C"] - c.singles["D"]
-    assert alice_losses >= 0 and bob_losses >= 0
-    assert alice_losses + bob_losses == c.loss_events
-    both_detected = sum(c.coincidences.values())
-    assert both_detected <= n
-    # Every non-coincidence pair lost at least one photon, at most two.
-    assert n - both_detected <= c.loss_events <= 2 * (n - both_detected)
-
-
-def test_validate_catches_corrupted_counts():
-    s = np.array([[0.9, 1.7, 0.5, 0.4]])
     c = run_single_point(s).counts
-    c.loss_events += 1
-    with pytest.raises(ValueError):
-        c.validate()
+    a_c, a_d, a_x, b_c, b_d, b_x, x_c, x_d, x_x = c.fates
+    n = a_c + a_d + a_x + b_c + b_d + b_x + x_c + x_d + x_x
+    assert n > 0
+    assert c.n_post_selected_pairs == n
+    assert c.singles == {
+        "A": a_c + a_d + a_x,
+        "B": b_c + b_d + b_x,
+        "C": a_c + b_c + x_c,
+        "D": a_d + b_d + x_d,
+    }
+    assert c.coincidences == {"AC": a_c, "AD": a_d, "BC": b_c, "BD": b_d}
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def test_estimate_antisynchronized_peak_is_four():
 
 
 def test_estimate_rejects_degenerate_inputs():
-    empty = McPointResult(CoincidenceCounts(), SamplingTally())
+    empty = McPointResult(CoincidenceCounts((0,) * 9), SamplingTally(0, 0, 0, 0))
     with pytest.raises(ValueError, match="zero post-selected pairs"):
         estimate_columns([empty], "analytic")
     with pytest.raises(ValueError, match="anywhere in the sweep"):
@@ -344,43 +340,51 @@ def test_estimate_rejects_degenerate_inputs():
         estimate_columns([point], "bogus")
 
 
+def sweep_singles(points):
+    """Singles totals of nine-fate tuples (FATES order), restated by index."""
+    return {
+        "A": sum(f[0] + f[1] + f[2] for f in points),
+        "B": sum(f[3] + f[4] + f[5] for f in points),
+        "C": sum(f[0] + f[3] + f[6] for f in points),
+        "D": sum(f[1] + f[4] + f[7] for f in points),
+    }
+
+
 def scalar_columns(points, normalization):
     """ESTIMATE_COLUMNS restated one point at a time, on Python ints and floats."""
     if normalization == "analytic":
         marginal = dict.fromkeys(DETECTORS, 0.25)
     else:
-        total = sum(c.n_post_selected_pairs for c in points)
-        marginal = {d: sum(c.singles[d] for c in points) / total for d in DETECTORS}
+        total = sum(sum(f) for f in points)
+        marginal = {d: k / total for d, k in sweep_singles(points).items()}
     rows = []
-    for c in points:
-        n = c.n_post_selected_pairs
+    for f in points:
+        n = sum(f)
         row = []
-        for pair in ("AD", "BC"):
-            denominator = marginal[pair[0]] * marginal[pair[1]]
-            p_hat = c.coincidences[pair] / n
+        for k, left, right in ((f[1], "A", "D"), (f[3], "B", "C")):
+            denominator = marginal[left] * marginal[right]
+            p_hat = k / n
             row += [p_hat / denominator, math.sqrt(p_hat * (1.0 - p_hat) / n) / denominator]
         rows.append(row + [n])
     return rows
 
 
-@st.composite
-def point_counts(draw):
-    # Counts below 2**53, where the columnar floats must equal the scalar ones.
-    n = draw(st.integers(1, 2**53 - 1))
-    below_n = st.integers(0, n)
-    return CoincidenceCounts(
-        n_post_selected_pairs=n,
-        singles={d: draw(st.integers(1, n)) for d in DETECTORS},
-        coincidences={"AD": draw(below_n), "BC": draw(below_n), "AC": 0, "BD": 0},
-    )
+# Fate counts whose sum stays below 2**53, where the columnar floats must
+# equal the scalar ones.
+point_fates = st.tuples(*[st.integers(0, (2**53 - 1) // 9)] * 9).filter(
+    lambda fates: sum(fates) > 0
+)
 
 
 @given(
-    points=st.lists(point_counts(), min_size=1, max_size=6),
+    points=st.lists(point_fates, min_size=1, max_size=6),
     normalization=st.sampled_from(["analytic", "measured"]),
 )
 def test_estimate_columns_equal_scalar_formulas_bit_for_bit(points, normalization):
-    results = [McPointResult(counts=c, tally=SamplingTally()) for c in points]
+    assume(normalization == "analytic" or min(sweep_singles(points).values()) > 0)
+    results = [
+        McPointResult(CoincidenceCounts(f), SamplingTally(0, 0, 0, 0)) for f in points
+    ]
     columns = estimate_columns(results, normalization)
     assert len(columns) == len(ESTIMATE_COLUMNS)
     rows = [list(row) for row in zip(*(c.tolist() for c in columns))]

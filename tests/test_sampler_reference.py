@@ -88,17 +88,7 @@ def reference_tables(settings: np.ndarray, src: SourceParams, rng):
 
 def sampler_tables(settings: np.ndarray, src: SourceParams):
     result = run_experiment(settings, src)[0]
-    tally, counts = result.tally, result.counts
-    c, k = counts.coincidences, counts.singles
-    n = counts.n_post_selected_pairs
-    a_x = k["A"] - c["AC"] - c["AD"]
-    b_x = k["B"] - c["BC"] - c["BD"]
-    x_c = k["C"] - c["AC"] - c["BC"]
-    x_d = k["D"] - c["AD"] - c["BD"]
-    x_x = n - c["AC"] - c["AD"] - c["BC"] - c["BD"] - a_x - b_x - x_c - x_d
-    fates = np.array(
-        [[c["AC"], c["AD"], a_x], [c["BC"], c["BD"], b_x], [x_c, x_d, x_x]]
-    )
+    tally, fates = result.tally, result.counts.fates
     bins = [
         tally.n_bins - tally.n_pair_bins - tally.n_multi_bins,
         tally.n_pair_bins,

@@ -54,3 +54,18 @@ def test_mc_convergence_prints_its_summary(tmp_path):
     rows = [line.split() for line in done.stdout.splitlines() if line[:4].strip().isdigit()]
     assert len(rows) == 3
     assert not [row for row in rows if row[2] == "0.00000" and row[4] == "0.00"]
+
+
+def test_mc_convergence_survives_zero_error_bars_and_refuses_no_seeds(tmp_path):
+    # At rho = 0 the AD coincidence probability is exactly zero, so every
+    # stderr is 0 and the ratio of two of them is undefined.
+    done = run_script(
+        "mc_convergence.py", "--seeds", "2", "--rho", "0", "--bins", "20000",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "stderr ratio at 4x the bins: undefined" in done.stdout
+    done = run_script("mc_convergence.py", "--seeds", "0", cwd=tmp_path)
+    assert done.returncode == 2
+    assert "--seeds must be at least 1" in done.stderr
+    assert "Traceback" not in done.stderr

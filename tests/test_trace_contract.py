@@ -39,12 +39,24 @@ def _layer_metrics():
     [
         ["montecarlo", "--preset", "fig2", "--bins", "20000"],
         ["verify", "--skip-montecarlo"],
+        ["analytic", "--preset", "fig3", "--gnuplot"],
+        [
+            "montecarlo", "--preset", "fig4", "--mu", "0.2", "--bins", "20000",
+            "--routing", "binomial",
+        ],
+        ["verify"],
     ],
-    ids=["montecarlo-fig2", "verify"],
+    ids=[
+        "montecarlo-fig2",
+        "verify",
+        "analytic-fig3",
+        "montecarlo-fig4-binomial",
+        "verify-montecarlo",
+    ],
 )
 def test_traced_run_reports_every_per_layer_metric(argv, tmp_path):
     trace_path = tmp_path / "trace.json"
-    if argv[0] == "montecarlo":
+    if argv[0] != "verify":
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

@@ -2,6 +2,7 @@
 
 import math
 
+from nmzi.config import parse_config
 from nmzi.elements import ElementConventions
 from nmzi.montecarlo import SourceParams
 from nmzi.verify import (
@@ -13,7 +14,7 @@ from nmzi.verify import (
 
 
 def test_analytic_checks_all_pass():
-    report = run_verification(include_montecarlo=False)
+    report = run_verification(None)
     assert len(report.checks) == 8
     assert report.all_passed
     for line in report.lines()[:-1]:
@@ -22,7 +23,8 @@ def test_analytic_checks_all_pass():
 
 
 def test_full_report_includes_montecarlo_checks():
-    report = run_verification()
+    # The source `nmzi verify` runs with when no flag or config sets one.
+    report = run_verification(parse_config(None, {"mode": "verify"}).source)
     assert len(report.checks) == 11
     assert report.all_passed
     names = [check.name for check in report.checks]
@@ -32,7 +34,7 @@ def test_full_report_includes_montecarlo_checks():
 
 def test_corrupted_conventions_fail_composed_check():
     bad = ElementConventions(pbs_reflection_phase=1.0)
-    report = run_verification(include_montecarlo=False, conventions=bad)
+    report = run_verification(None, conventions=bad)
     assert not report.all_passed
     failed = [check for check in report.checks if not check.passed]
     assert [check.name for check in failed] == [
@@ -64,7 +66,7 @@ def test_sigma_scaling_handles_exact_zero():
 
 
 def test_exact_conservation_check_demands_zero():
-    report = run_verification(include_montecarlo=False)
+    report = run_verification(None)
     by_name = {check.name: check for check in report.checks}
     exact = by_name["detection probabilities conserve exactly"]
     assert exact.tolerance == 0.0
@@ -75,6 +77,6 @@ def test_report_is_deterministic_for_a_given_source():
     source = SourceParams(
         mean_photon_number=0.2, n_time_bins=60_000, rng_seed=7
     )
-    first = run_verification(source=source)
-    second = run_verification(source=source)
+    first = run_verification(source)
+    second = run_verification(source)
     assert first == second
