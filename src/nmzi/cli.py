@@ -24,7 +24,13 @@ import os
 import sys
 from typing import Sequence
 
-from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_sweep_spec,
+    parse_config,
+    refuse_source_keys,
+)
 from .correlation import record_at, sweep_settings
 from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
@@ -153,7 +159,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}")
-    return parse_config(text, _overrides_from_args(args))
+    overrides = _overrides_from_args(args)
+    if getattr(args, "skip_montecarlo", False):
+        refuse_source_keys(text, overrides)
+    return parse_config(text, overrides)
 
 
 def _resolve_out_path(config: RunConfig) -> str:

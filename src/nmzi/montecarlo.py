@@ -21,8 +21,9 @@ therefore draws its totals directly, exactly in distribution, in three draws
 whose cost does not grow with the number of time bins:
 
 1. a multinomial of ``n_time_bins`` over the bin classes {n = 2, n >= 3,
-   n <= 1}, with Poisson masses ``e^-mu mu^2 / 2``, the clamped remainder,
-   and ``e^-mu (1 + mu)``;
+   n <= 1}, with Poisson masses ``e^-mu mu^2 / 2``, the multi-photon mass
+   (the clamped remainder, or its series where the remainder would cancel),
+   and ``e^-mu (1 + mu)``, computed once per run;
 2. for ``binomial`` routing only, ``Binomial(n_pair, 1/2)`` same-side
    rejections;
 3. a multinomial of the post-selected pairs over the nine joint fates
@@ -81,6 +82,10 @@ _FATE_ROW = struct.Struct(f"{len(FATES)}q")
 ANALYTIC_MARGINAL = 0.25
 
 _MU_WARNING_THRESHOLD = 0.5
+
+# Below this mean photon number the multi-photon mass comes from its series:
+# 1 - p_low - p_pair cancels to a relative error above 1e-9 there.
+_MULTI_SERIES_BELOW = 0.01
 
 
 @dataclass(frozen=True)
@@ -177,23 +182,44 @@ class McPointResult:
 # Sampling
 
 
+def _class_masses(mu: float) -> list[float]:
+    """Poisson masses of the bin classes ``[n = 2, n >= 3, n <= 1]`` at mean ``mu``.
+
+    From ``mu = 0.01`` up the multi-photon mass is the clamped remainder
+    ``1 - p_low - p_pair``; below, where that remainder cancels, it is the
+    series ``e^-mu sum_{k>=3} mu^k / k!``, summed until its terms stop
+    changing the total.
+    """
+    p_low = math.exp(-mu) * (1.0 + mu)
+    p_pair = math.exp(-mu) * mu * mu / 2.0
+    if mu >= _MULTI_SERIES_BELOW:
+        p_multi = max(0.0, 1.0 - p_low - p_pair)
+    else:
+        term = mu * mu * mu / 6.0
+        total, k = 0.0, 3
+        while total + term != total:
+            total += term
+            k += 1
+            term *= mu / k
+        p_multi = math.exp(-mu) * total
+    return [p_pair, p_multi, p_low]
+
+
 def _accumulate_point(
-    p: Sequence[float], src: SourceParams, point_seq: np.random.SeedSequence
+    p: Sequence[float],
+    src: SourceParams,
+    masses: list[float],
+    point_seq: np.random.SeedSequence,
 ) -> McPointResult:
     """Draw one sweep point's source and detection totals (module docstring).
 
-    ``p`` holds the point's landing probabilities at detectors (A, B, C, D).
+    ``p`` holds the point's landing probabilities at detectors (A, B, C, D);
+    ``masses`` is ``_class_masses`` of the source.
     """
     rng = np.random.default_rng(point_seq)
-    mu = src.mean_photon_number
-    p_low = math.exp(-mu) * (1.0 + mu)
-    p_pair = math.exp(-mu) * mu * mu / 2.0
-    p_multi = max(0.0, 1.0 - p_low - p_pair)
     # numpy takes the last class as the remainder of the others, so the pair
     # class goes first and keeps its exact mass.
-    n_pair, n_multi, _ = rng.multinomial(
-        src.n_time_bins, [p_pair, p_multi, p_low]
-    ).tolist()
+    n_pair, n_multi, _ = rng.multinomial(src.n_time_bins, masses).tolist()
     n_rejected = int(rng.binomial(n_pair, 0.5)) if src.routing == "binomial" else 0
 
     p_a, p_b, p_c, p_d = p
@@ -220,9 +246,10 @@ def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResul
     if not np.isfinite(settings).all():
         raise ValueError("settings must be finite")
     probabilities = (fringe_factors(settings) / 4.0).tolist()
+    masses = _class_masses(src.mean_photon_number)
     root = np.random.SeedSequence(src.rng_seed)
     return [
-        _accumulate_point(p, src, point_seq)
+        _accumulate_point(p, src, masses, point_seq)
         for p, point_seq in zip(probabilities, root.spawn(len(probabilities)))
     ]
 

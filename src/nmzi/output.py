@@ -13,10 +13,17 @@ The first four are the ``(N, 4)`` settings array, the next six the array
 the columns :func:`nmzi.montecarlo.estimate_columns` returns for the sweep,
 appended as they are.  ``R_AD_normalized`` is R_AD divided by its maximum
 over the emitted sweep (0 when the sweep never rises above 0), so the column
-peaks at 1 on any grid that reaches the true maximum.  Rows are rendered
-whole, one format string over all columns per row.  Floats are printed with
-17 significant digits (full round-trip precision) and rows end with a bare
-newline, making the byte stream a pure function of the inputs.
+peaks at 1 on any grid that reaches the true maximum.  Floats are printed
+with 17 significant digits (full round-trip precision), ``n_pairs`` as an
+integer, and rows end with a bare newline, making the byte stream a pure
+function of the inputs.
+
+Rendering goes column by column, because a sweep's columns repeat values
+heavily (a 101 x 101 map has 101 distinct values per axis): each column's
+distinct values are formatted once and the text is gathered back through
+``np.unique``'s inverse index, then each row's cells are joined.  Floats are
+told apart by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
+own text.
 
 Files are written to a temporary name in the target directory and renamed
 into place, so an interrupted run leaves the previous file (or none), never
@@ -60,15 +67,29 @@ def csv_rows(
     r_ad = records[:, RECORD_COLUMNS.index("R_AD")]
     peak = r_ad.max()
     normalized = r_ad / peak if peak > 0.0 else np.zeros_like(r_ad)
-    columns = [*settings.T.tolist(), *records.T.tolist(), normalized.tolist()]
+    columns = [*settings.T, *records.T, normalized]
     header = ANALYTIC_COLUMNS
     formats = [_FLOAT] * len(columns)
     if mc_columns is not None:
-        columns += [column.tolist() for column in mc_columns]
+        columns += mc_columns
         header += ESTIMATE_COLUMNS
         formats += [_FLOAT] * 4 + ["{}"]
-    row = ",".join(formats) + "\n"
-    return [",".join(header) + "\n", *map(row.format, *columns)]
+    formats[-1] += "\n"
+    cells = map(_column_cells, columns, formats)
+    return [",".join(header) + "\n", *map(",".join, zip(*cells))]
+
+
+def _column_cells(column: np.ndarray, cell: str) -> list[str]:
+    """``cell.format`` of each value of ``column``, each distinct value formatted once.
+
+    Float64 columns are keyed by their bit patterns: keying by value would give
+    ``-0.0`` the text of ``0.0``.
+    """
+    values = np.ascontiguousarray(column)
+    keys = values.view(np.uint64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = list(map(cell.format, distinct.view(values.dtype).tolist()))
+    return [text[i] for i in inverse.tolist()]
 
 
 def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:

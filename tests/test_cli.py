@@ -128,6 +128,36 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
     assert lines[-1] == "all 8 checks passed"
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--mu", "-1"], "mu"),
+        (["--bins", "5"], "bins"),
+        (["--seed", "3"], "seed"),
+        (["--routing", "binomial"], "routing"),
+    ],
+)
+def test_skip_montecarlo_refuses_source_flags(flags, key, capsys):
+    assert main(["verify", "--skip-montecarlo", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: config key '{key}' does not apply to "
+        "'verify --skip-montecarlo'\n"
+    )
+
+
+def test_skip_montecarlo_refuses_source_keys_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\n")
+    assert main(["verify", "--skip-montecarlo", "--config", str(cfg)]) == 1
+    assert "config error: config key 'seed' does not apply to" in capsys.readouterr().err
+    # Without the flag the same file configures the Monte Carlo checks.
+    cfg.write_text("bins = 1000000\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
 def test_verify_detects_corrupted_conventions(capsys, monkeypatch):
     # Negative control: break the polarizing splitter's reflection phase and
     # check that the CLI reports the failed check with exit code 2.

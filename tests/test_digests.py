@@ -59,3 +59,24 @@ def test_montecarlo_csv_digest(case, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert _digest(out) == MONTECARLO_SHA256[case]
+
+
+# The benchmark's largest Monte Carlo render: 10 201 rows of 16 columns, whose
+# R_hat, stderr and n_pairs values repeat heavily across the grid.
+FIG4_BINOMIAL_SHA256 = "8103378d751191bcba5b4b1d36d709f2269ffa560156b7edff4b8b1d242aae3d"
+
+
+def test_montecarlo_fig4_binomial_digest(tmp_path, capsys):
+    out = tmp_path / "mc_fig4_binomial.csv"
+    argv = [
+        "montecarlo",
+        "--preset", "fig4",
+        "--mu", "0.2",
+        "--bins", "20000",
+        "--routing", "binomial",
+        "--seed", "20220223",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _digest(out) == FIG4_BINOMIAL_SHA256

@@ -8,10 +8,11 @@ Statistical checks use fixed seeds and 4-sigma (single draw) or ensemble
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
 from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
 from nmzi.montecarlo import (
@@ -22,6 +23,7 @@ from nmzi.montecarlo import (
     McPointResult,
     SamplingTally,
     SourceParams,
+    _class_masses,
     estimate_columns,
     run_experiment,
 )
@@ -123,6 +125,49 @@ def test_post_selection_fraction_across_regimes(mu):
         # Small-mu limit: pair rate per bin approaches mu^2 / 2.
         rate = n_pairs / n_bins
         assert abs(rate / mu**2 - 0.5) < 4.0 * sigma / (n_bins * mu**2) + 0.01
+
+
+def reference_class_masses(mu: float) -> list[Decimal]:
+    """``[p_pair, p_multi, p_low]`` at 50 digits, p_multi from its series."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m = Decimal(mu)
+        weight = (-m).exp()
+        term, multi, k = m**3 / 6, Decimal(0), 3
+        while multi + term != multi:
+            multi += term
+            k += 1
+            term = term * m / k
+        return [weight * m * m / 2, weight * multi, weight * (1 + m)]
+
+
+@given(st.floats(min_value=1e-12, max_value=50.0))
+@example(1e-12)
+@example(1e-9)
+@example(1e-6)
+@example(1e-5)
+@example(1e-4)
+@example(0.0099999)
+@example(0.01)
+@example(0.05)
+@example(50.0)
+def test_class_masses_match_a_50_digit_reference(mu):
+    got = _class_masses(mu)
+    expected = [float(p) for p in reference_class_masses(mu)]
+    for i in (0, 2):
+        assert abs(got[i] - expected[i]) <= 1e-14 * expected[i]
+    if mu >= 0.01:
+        # The remainder 1 - p_low - p_pair: exact up to its rounding near 1.
+        assert abs(got[1] - expected[1]) <= 4 * 2.0**-52
+    else:
+        assert abs(got[1] - expected[1]) <= 1e-14 * expected[1]
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.05, 0.1, 0.2])
+def test_class_masses_keep_the_remainder_formula_from_001_up(mu):
+    p_low = math.exp(-mu) * (1.0 + mu)
+    p_pair = math.exp(-mu) * mu * mu / 2.0
+    assert _class_masses(mu) == [p_pair, max(0.0, 1.0 - p_low - p_pair), p_low]
 
 
 def test_multi_photon_bins_counted_separately():

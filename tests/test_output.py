@@ -3,8 +3,11 @@
 import csv
 import math
 import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from nmzi import output
 from nmzi.correlation import PRESETS, record_at, sweep_settings
@@ -85,6 +88,94 @@ def test_two_phase_map_values(tmp_path):
     assert abs(float(at(0.0, math.pi)["R_BC"]) - 4.0) < 1e-12
     # normalization peak on this grid is the true maximum 4
     assert abs(float(at(math.pi, 0.0)["R_AD_normalized"]) - 1.0) < 1e-12
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values whose text a renderer that dedups by value could get wrong: signed
+# zeros, nans with different payloads and signs, infinities, subnormals.
+_EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    _float_from_bits(0x7FF8000000000000),
+    _float_from_bits(0x7FF8000000000001),
+    _float_from_bits(0xFFF8000000000000),
+    _float_from_bits(0x7FF0000000000123),
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    1.0,
+    1.0 / 3.0,
+]
+
+_REFERENCE_HEADER = "phi,psi,xi,theta,i_A,i_B,i_C,i_D,R_AD,R_BC,R_AD_normalized"
+_REFERENCE_MC_HEADER = ",R_hat_AD,stderr_AD,R_hat_BC,stderr_BC,n_pairs"
+
+
+@st.composite
+def _repetitive_columns(draw, n_rows, n_columns, values):
+    """Columns whose cells mostly come from a small palette, so values repeat."""
+    palette = draw(st.lists(values, min_size=1, max_size=4))
+    cell = st.sampled_from(palette) | values
+    column = st.lists(cell, min_size=n_rows, max_size=n_rows)
+    return [draw(column) for _ in range(n_columns)]
+
+
+@st.composite
+def _sweeps(draw):
+    n = draw(st.integers(1, 12))
+    floats = st.sampled_from(_EDGE_FLOATS) | st.floats(width=64)
+    settings = np.array(draw(_repetitive_columns(n, 4, floats))).T
+    records = np.array(draw(_repetitive_columns(n, 6, floats))).T
+    mc_columns = None
+    if draw(st.booleans()):
+        mc_columns = [np.array(c) for c in draw(_repetitive_columns(n, 4, floats))]
+        int64 = st.integers(-(2**63), 2**63 - 1)
+        (n_pairs,) = draw(_repetitive_columns(n, 1, int64))
+        mc_columns.append(np.array(n_pairs, dtype=np.int64))
+    return settings, records, mc_columns
+
+
+def _reference_rows(settings, records, mc_columns):
+    """The CSV restated one cell at a time, with the header written out."""
+    r_ad = records[:, 4]
+    peak = r_ad.max()
+    normalized = r_ad / peak if peak > 0.0 else np.zeros_like(r_ad)
+    header = _REFERENCE_HEADER
+    columns = [*settings.T.tolist(), *records.T.tolist(), normalized.tolist()]
+    if mc_columns is not None:
+        header += _REFERENCE_MC_HEADER
+        columns += [column.tolist() for column in mc_columns]
+    rows = [header + "\n"]
+    for row in zip(*columns):
+        cells = ["{:.16e}".format(value) for value in row[:15]]
+        if mc_columns is not None:
+            cells.append("{}".format(row[15]))
+        rows.append(",".join(cells) + "\n")
+    return rows
+
+
+@given(_sweeps())
+@example(
+    (
+        np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]),
+        np.array([[-0.0, 0.0, 1.0, 1.0, 0.0, -0.0], [0.0, -0.0, 1.0, 1.0, 0.0, 0.0]]),
+        None,
+    )
+)
+@hyp_settings(max_examples=100, deadline=None)
+def test_csv_rows_match_a_per_cell_restatement(sweep):
+    settings, records, mc_columns = sweep
+    with np.errstate(all="ignore"):
+        rows = csv_rows(settings, records, mc_columns)
+        expected = _reference_rows(settings, records, mc_columns)
+    assert type(rows) is list
+    assert all(type(row) is str for row in rows)
+    assert rows == expected
 
 
 def test_empty_records_error_and_no_file(tmp_path):
