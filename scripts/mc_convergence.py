@@ -16,7 +16,12 @@ import argparse
 import math
 import statistics
 
-from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
+from nmzi.correlation import (
+    QUARTER_TURN,
+    RECORD_COLUMNS,
+    record_at,
+    synchronized_settings,
+)
 from nmzi.montecarlo import SourceParams, estimate_columns, run_experiment
 
 
@@ -27,8 +32,8 @@ def _estimate(rho: float, mu: float, bins: int, seed: int):
     r_hat, std_error, _, _, n_pairs = (
         column.item() for column in estimate_columns(results, "analytic")
     )
-    f_a, _, _, f_d = fringe_factors(settings)[0].tolist()
-    return r_hat, std_error, n_pairs, f_a * f_d
+    truth = record_at(settings)[0, RECORD_COLUMNS.index("R_AD")].item()
+    return r_hat, std_error, n_pairs, truth
 
 
 def main() -> int:

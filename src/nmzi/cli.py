@@ -8,9 +8,12 @@ Three subcommands::
 
 Grids come from ``--preset fig2|fig3|fig4`` or explicit
 ``--sweep param=start:stop:step`` / ``--fix param=value`` flags, optionally
-seeded from a ``--config`` file (flags win).  ``--degrees`` switches the
-interpretation of angle values on the way in; everything is stored and
-written in radians.
+seeded from a ``--config`` file (flags win).  Each flag's argparse ``dest``
+is the config key it sets (``--degrees`` sets ``angles = degrees``,
+``--gnuplot`` sets ``gnuplot = true``); ``--sweep P=...`` and ``--fix P=...``
+set ``sweep.P`` and ``fix.P``, and naming one parameter twice is refused.
+``--config`` and ``--skip-montecarlo`` steer the CLI itself.  Angle values
+are converted on the way in; everything is stored and written in radians.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure.  ``NMZI_OUT_DIR`` names the default output directory when ``--out``
@@ -80,12 +83,15 @@ def _build_parser() -> _Parser:
     grid.add_argument("--out", help="output CSV path")
     grid.add_argument(
         "--degrees",
-        action="store_true",
+        dest="angles",
+        action="store_const",
+        const="degrees",
         help="interpret angle values (sweep/fix) as degrees",
     )
     grid.add_argument(
         "--gnuplot",
-        action="store_true",
+        action="store_const",
+        const="true",
         help="also write a gnuplot script next to the CSV",
     )
 
@@ -130,23 +136,19 @@ def _split_assignment(flag: str, item: str) -> tuple[str, str]:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {"mode": args.mode}
-    if getattr(args, "preset", None):
-        overrides["preset"] = args.preset
-    for item in getattr(args, "sweep", None) or []:
-        name, value = _split_assignment("--sweep", item)
-        overrides[f"sweep.{name}"] = value
-    for item in getattr(args, "fix", None) or []:
-        name, value = _split_assignment("--fix", item)
-        overrides[f"fix.{name}"] = value
-    for key in ("mu", "bins", "seed", "routing", "normalization", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
+    """The given flags as config entries: a flag's ``dest`` is its key."""
+    overrides = {}
+    for key, value in vars(args).items():
+        if value is None or key in ("config", "skip_montecarlo"):
+            continue
+        if key in ("sweep", "fix"):
+            for item in value:
+                name, text = _split_assignment(f"--{key}", item)
+                if f"{key}.{name}" in overrides:
+                    raise ConfigError(f"--{key} gives {name!r} twice")
+                overrides[f"{key}.{name}"] = text
+        else:
             overrides[key] = value
-    if getattr(args, "degrees", False):
-        overrides["angles"] = "degrees"
-    if getattr(args, "gnuplot", False):
-        overrides["gnuplot"] = "true"
     return overrides
 
 

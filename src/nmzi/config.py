@@ -16,10 +16,12 @@ refused: the source keys and ``normalization`` under ``analytic``; the grid,
 output, ``normalization`` and ``angles`` keys under ``verify``, and the
 source keys too under ``verify --skip-montecarlo``.  A grid may
 have at most ``MAX_GRID_POINTS`` (10^7) points; the count comes from the
-axes, so a larger grid is rejected before any point is built.  ``#`` starts
+axes, so a larger grid is rejected before any point is built, as is
+``gnuplot = true`` with more than two sweep axes.  ``#`` starts
 a comment; blank lines are ignored.  Later occurrences of a key are rejected
 rather than silently shadowed.  CLI flags arrive here as an override mapping
-in the same grammar and take precedence over file values.
+in the same grammar, keyed by each flag's argparse ``dest``, and take
+precedence over file values.
 
 ``angles = degrees`` is a parse directive: it converts every angle-valued
 entry to radians while parsing and is not stored -- a parsed RunConfig is
@@ -111,13 +113,6 @@ def _strip_comment(line: str) -> str:
 
 
 def _validate_key(key: str) -> None:
-    if key == "streams":
-        # Accepted by earlier versions; say so rather than "unknown key".
-        raise ConfigError(
-            "config key 'streams' was removed: each sweep point's photon "
-            "totals are drawn in one go, so there are no sampling streams; "
-            "delete the line"
-        )
     if key in _SCALAR_KEYS:
         return
     for prefix in ("sweep.", "fix."):
@@ -244,25 +239,17 @@ def parse_config(
 
     source = None
     if mode in ("montecarlo", "verify"):
+        mu = _as_float("mu", raw.pop("mu", str(_DEFAULT_MU)))
+        bins = _as_int("bins", raw.pop("bins", str(_DEFAULT_BINS)))
+        seed = _as_int("seed", raw.pop("seed", "0"))
         try:
-            source = SourceParams(
-                mean_photon_number=_as_float("mu", raw.pop("mu", str(_DEFAULT_MU))),
-                n_time_bins=_as_int("bins", raw.pop("bins", str(_DEFAULT_BINS))),
-                rng_seed=_as_int("seed", raw.pop("seed", "0")),
-                routing=raw.pop("routing", "paired"),
-            )
+            source = SourceParams(mu, bins, seed, raw.pop("routing", "paired"))
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(str(exc)) from exc
 
     normalization = raw.pop("normalization", "analytic")
     out_path = raw.pop("out", None)
     gnuplot = _as_bool("gnuplot", raw.pop("gnuplot", "false"))
-
-    if raw:
-        # _validate_key should have caught everything; keep a guard anyway.
-        raise ConfigError(f"unknown config key {sorted(raw)[0]!r}")
 
     return RunConfig(
         mode=mode,
@@ -321,7 +308,12 @@ def canonical_config_text(config: RunConfig) -> str:
 
 
 def build_sweep_spec(config: RunConfig) -> SweepSpec:
-    """Resolve the config's grid: a preset (with fix overrides) or raw axes."""
+    """Resolve the config's grid: a preset (with fix overrides) or raw axes.
+
+    A gnuplot script plots one or two sweep axes (every preset has at most
+    two), so ``gnuplot = true`` with more is refused here, before any point
+    is computed or file written.
+    """
     if config.preset is not None:
         base = PRESETS[config.preset]
         if not config.fixed:
@@ -329,6 +321,11 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
         axes, fixed = base.axes, {**base.fixed, **config.fixed_values}
     else:
         axes, fixed = config.sweep_axes, config.fixed_values
+    if config.gnuplot and len(axes) > 2:
+        raise ConfigError(
+            "config key 'gnuplot': a gnuplot script plots one or two sweep "
+            f"axes, got {len(axes)}"
+        )
     try:
         return SweepSpec(axes=axes, fixed=fixed)
     except ValueError as exc:

@@ -58,14 +58,6 @@ class JonesVector:
         return abs(self.h) ** 2 + abs(self.v) ** 2
 
 
-@dataclass(frozen=True)
-class TwoModeField:
-    """Two co-propagating spatial modes, e.g. the two arms of an interferometer."""
-
-    upper: JonesVector
-    lower: JonesVector
-
-
 def beam_splitter_mix(
     in_upper: complex,
     in_lower: complex,

@@ -51,10 +51,8 @@ in the sweep, and results are bit-identical for a given seed.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Sequence
 
 import numpy as np
@@ -72,10 +70,6 @@ ROUTING_MODES = ("paired", "binomial")
 NORMALIZATIONS = ("analytic", "measured")
 
 ESTIMATE_COLUMNS = ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC", "n_pairs")
-
-# One point's fates as native int64 bytes: struct packs Python ints into an
-# array faster than numpy converts them one at a time.
-_FATE_ROW = struct.Struct(f"{len(FATES)}q")
 
 # Phase-averaged singles rate per detector; denominator of the analytic
 # normalization.
@@ -279,10 +273,7 @@ def estimate_columns(
         raise ValueError(
             f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
-    fates = np.frombuffer(
-        b"".join(starmap(_FATE_ROW.pack, (point.counts.fates for point in results))),
-        dtype=np.int64,
-    ).reshape(-1, len(FATES))
+    fates = np.array([point.counts.fates for point in results], dtype=np.int64)
     n = fates.sum(axis=1)
     if normalization == "analytic":
         marginals = dict.fromkeys(DETECTORS, ANALYTIC_MARGINAL)

@@ -32,7 +32,6 @@ from .elements import (
     DEFAULT_CONVENTIONS,
     ElementConventions,
     JonesVector,
-    TwoModeField,
     beam_splitter_mix,
     half_wave_plate,
     mirror_reflect,
@@ -125,24 +124,21 @@ def composed_station(
     # arm carries no V amplitude and vice versa.
     out1_h, out2_h = beam_splitter_mix(arm_h, 0.0, conv)
     out1_v, out2_v = beam_splitter_mix(0.0, arm_v, conv)
-    outputs = TwoModeField(
-        upper=JonesVector(h=out1_h, v=out1_v),
-        lower=JonesVector(h=out2_h, v=out2_v),
-    )
+    out1 = JonesVector(h=out1_h, v=out1_v)
+    out2 = JonesVector(h=out2_h, v=out2_v)
 
     zeta = params.polarizer_angle
     return StationOutputs(
-        e_out1=outputs.upper,
-        e_out2=outputs.lower,
-        e_proj_minus=polarizer_project(outputs.upper, zeta),
-        e_proj_plus=polarizer_project(outputs.lower, zeta),
+        e_out1=out1,
+        e_out2=out2,
+        e_proj_minus=polarizer_project(out1, zeta),
+        e_proj_plus=polarizer_project(out2, zeta),
     )
 
 
 def station_outputs_deviation(
     candidate: StationOutputs,
     reference: StationOutputs,
-    tol: float = ALGEBRA_TOL,
 ) -> float:
     """Largest componentwise mismatch after removing one shared global phase.
 
@@ -157,7 +153,7 @@ def station_outputs_deviation(
     scale = max(max(abs(z) for z in ref), 1.0)
     phase = None
     for c, r in zip(cand, ref):
-        if abs(r) > tol * scale:
+        if abs(r) > ALGEBRA_TOL * scale:
             phase = c / r
             break
     if phase is None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
+import argparse
 import functools
 import math
 import time
@@ -8,9 +9,12 @@ import pytest
 
 from nmzi import cli
 from nmzi.cli import main
+from nmzi.config import _validate_key, parse_config
 from nmzi.elements import ElementConventions
 
 QUARTER = math.pi / 4.0
+
+THREE_AXES = ["--sweep", "phi=0:1:0.5", "--sweep", "psi=0:1:0.5", "--sweep", "xi=0:1:0.5"]
 
 
 def _run_mc(out_path, seed="11"):
@@ -111,12 +115,25 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             ["montecarlo", "--preset", "fig2", "--bins", str(10**20)],
             "below 2**63",
         ),
+        (
+            ["analytic", "--sweep", "phi=0:1:0.5", "--sweep", "phi=0:2:0.5"],
+            "config error: --sweep gives 'phi' twice",
+        ),
+        (
+            ["analytic", "--sweep", "phi=0:1:0.5", "--fix", "psi=0", "--fix", " psi = 1"],
+            "config error: --fix gives 'psi' twice",
+        ),
+        (["analytic", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
+        (["montecarlo", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NMZI_OUT_DIR", raising=False)
     assert main(argv) == 1
     assert fragment in capsys.readouterr().err
+    # Refused before any work: no CSV, gnuplot script or temp file is left.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_passes_and_prints_one_line_per_check(capsys):
@@ -202,6 +219,22 @@ def test_config_file_drives_a_run_and_flags_win(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_every_flag_dest_is_its_config_key():
+    parser = cli._build_parser()
+    (modes,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    _validate_key(modes.dest)
+    for sub in modes.choices.values():
+        for action in sub._actions:
+            if action.dest not in ("help", "config", "skip_montecarlo", "sweep", "fix"):
+                _validate_key(action.dest)
+    args = parser.parse_args(
+        ["analytic", "--sweep", "phi=0:180:45", "--degrees", "--gnuplot"]
+    )
+    assert cli._load_config(args) == parse_config(
+        "mode = analytic\nsweep.phi = 0:180:45\nangles = degrees\ngnuplot = true\n"
+    )
+
+
 def test_gnuplot_script_lands_next_to_csv(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     assert main(["analytic", "--preset", "fig2", "--gnuplot", "--out", str(out)]) == 0
@@ -232,7 +265,7 @@ def test_removed_streams_key_exits_one_and_names_it(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = fig2\nstreams = 4\n")
     assert main(["montecarlo", "--config", str(cfg)]) == 1
-    assert "config key 'streams' was removed" in capsys.readouterr().err
+    assert "config error: unknown config key 'streams'" in capsys.readouterr().err
     assert main(["montecarlo", "--preset", "fig2", "--streams", "4"]) == 1
     assert "--streams" in capsys.readouterr().err
 
