@@ -53,9 +53,6 @@ def test_unknown_key_is_named():
         parse_config("mode = analytic\nfrequency = 10\npreset = fig2\n")
     with pytest.raises(ConfigError, match="sweep.banana"):
         parse_config("mode = analytic\nsweep.banana = 0:1:0.1\n")
-    # Earlier versions read a 'streams' key; it is unknown like any other.
-    with pytest.raises(ConfigError, match="unknown config key 'streams'"):
-        parse_config("mode = montecarlo\npreset = fig2\nstreams = 4\n")
 
 
 def test_preset_sweep_conflict_is_distinct():
@@ -191,6 +188,12 @@ def test_source_validation_surfaces_as_config_error():
         parse_config("mode = montecarlo\npreset = fig2\nmu = -1\n")
     with pytest.raises(ConfigError, match="routing"):
         parse_config("mode = montecarlo\npreset = fig2\nrouting = quantum\n")
+
+
+def test_removed_streams_key_is_named():
+    # Earlier versions read a 'streams' key; it is unknown like any other.
+    with pytest.raises(ConfigError, match="unknown config key 'streams'"):
+        parse_config("mode = montecarlo\npreset = fig2\nstreams = 4\n")
 
 
 def test_grid_cap_is_a_config_error():
