@@ -71,7 +71,9 @@ def main() -> int:
     _, small, _, _ = _estimate(args.rho, args.mu, args.bins, 0)
     _, big, _, _ = _estimate(args.rho, args.mu, 4 * args.bins, 0)
     # A seed that counts no coincidence, or only coincidences, reports +-0.
-    ratio = f"{small / big:.2f}" if big > 0.0 else "undefined (zero stderr)"
+    ratio = "undefined (zero stderr)"
+    if small > 0.0 and big > 0.0:
+        ratio = f"{small / big:.2f}"
     print(f"stderr ratio at 4x the bins: {ratio} (expect ~{math.sqrt(4.0):.1f})")
     return 0
 

@@ -12,8 +12,10 @@ seeded from a ``--config`` file (flags win).  Each flag's argparse ``dest``
 is the config key it sets (``--degrees`` sets ``angles = degrees``,
 ``--gnuplot`` sets ``gnuplot = true``); ``--sweep P=...`` and ``--fix P=...``
 set ``sweep.P`` and ``fix.P``, and naming one parameter twice is refused.
-``--config`` and ``--skip-montecarlo`` steer the CLI itself.  Angle values
-are converted on the way in; everything is stored and written in radians.
+Only ``--config`` steers the CLI itself.  Angle values are converted on the
+way in; everything is stored and written in radians.  ``verify`` always
+runs its Monte Carlo checks, on the source that ``--mu``, ``--bins``,
+``--seed`` and ``--routing`` describe.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure.  ``NMZI_OUT_DIR`` names the default output directory when ``--out``
@@ -27,13 +29,7 @@ import os
 import sys
 from typing import Sequence
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_sweep_spec,
-    parse_config,
-    refuse_source_keys,
-)
+from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
 from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
@@ -118,11 +114,6 @@ def _build_parser() -> _Parser:
         "verify", parents=[source], help="run the invariant checks"
     )
     ver.add_argument("--config", help="flat key = value config file")
-    ver.add_argument(
-        "--skip-montecarlo",
-        action="store_true",
-        help="only the exact analytic identities",
-    )
     return parser
 
 
@@ -139,7 +130,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     """The given flags as config entries: a flag's ``dest`` is its key."""
     overrides = {}
     for key, value in vars(args).items():
-        if value is None or key in ("config", "skip_montecarlo"):
+        if value is None or key == "config":
             continue
         if key in ("sweep", "fix"):
             for item in value:
@@ -161,10 +152,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}")
-    overrides = _overrides_from_args(args)
-    if getattr(args, "skip_montecarlo", False):
-        refuse_source_keys(text, overrides)
-    return parse_config(text, overrides)
+    return parse_config(text, _overrides_from_args(args))
 
 
 def _resolve_out_path(config: RunConfig) -> str:
@@ -195,8 +183,8 @@ def _run_sweep_mode(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    report = run_verification(None if args.skip_montecarlo else config.source)
+def _run_verify(config: RunConfig) -> int:
+    report = run_verification(config.source)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
@@ -212,7 +200,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(args)
         if config.mode == "verify":
-            return _run_verify(config, args)
+            return _run_verify(config)
         return _run_sweep_mode(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,15 +13,15 @@ The grammar is intentionally small.  Scalar keys::
 plus per-parameter keys ``sweep.<param> = start:stop:step`` and
 ``fix.<param> = value`` for explicit grids.  A key the mode does not read is
 refused: the source keys and ``normalization`` under ``analytic``; the grid,
-output, ``normalization`` and ``angles`` keys under ``verify``, and the
-source keys too under ``verify --skip-montecarlo``.  A grid may
-have at most ``MAX_GRID_POINTS`` (10^7) points; the count comes from the
-axes, so a larger grid is rejected before any point is built, as is
-``gnuplot = true`` with more than two sweep axes.  ``#`` starts
-a comment; blank lines are ignored.  Later occurrences of a key are rejected
-rather than silently shadowed.  CLI flags arrive here as an override mapping
-in the same grammar, keyed by each flag's argparse ``dest``, and take
-precedence over file values.
+output, ``normalization`` and ``angles`` keys under ``verify``, whose Monte
+Carlo checks read the source keys.  A grid may have at most
+``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
+larger grid is rejected before any point is built, as is ``gnuplot = true``
+with more than two sweep axes.  ``#`` starts a comment; blank lines are
+ignored.  Later occurrences of a key are rejected rather than silently
+shadowed.  CLI flags arrive here as an override mapping in the same grammar,
+keyed by each flag's argparse ``dest``, and take precedence over file
+values.
 
 ``angles = degrees`` is a parse directive: it converts every angle-valued
 entry to radians while parsing and is not stored -- a parsed RunConfig is
@@ -52,13 +52,11 @@ _SCALAR_KEYS = (
     "angles",
 )
 
-# The keys that describe the photon source; only Monte Carlo runs read them.
-SOURCE_KEYS = ("mu", "bins", "seed", "routing")
-
 # Keys (or key prefixes before a dot) that a mode does not read; giving one
-# is an error rather than silently ignored.
+# is an error rather than silently ignored.  Only the modes that sample
+# photons read the source keys (mu, bins, seed, routing).
 _UNREAD_KEYS = {
-    "analytic": (*SOURCE_KEYS, "normalization"),
+    "analytic": ("mu", "bins", "seed", "routing", "normalization"),
     "montecarlo": (),
     "verify": ("preset", "sweep", "fix", "out", "gnuplot", "normalization", "angles"),
 }
@@ -261,21 +259,6 @@ def parse_config(
         out_path=out_path,
         gnuplot=gnuplot,
     )
-
-
-def refuse_source_keys(text: str | None, overrides: Mapping[str, str]) -> None:
-    """Refuse the source keys for a ``verify`` run that samples no source.
-
-    ``nmzi verify --skip-montecarlo`` reads none of ``SOURCE_KEYS``; like a
-    key its mode does not read, giving one in ``text`` or ``overrides`` is an
-    error rather than silently ignored.
-    """
-    given = {**(_parse_lines(text) if text else {}), **overrides}
-    for key in SOURCE_KEYS:
-        if key in given:
-            raise ConfigError(
-                f"config key {key!r} does not apply to 'verify --skip-montecarlo'"
-            )
 
 
 def canonical_config_text(config: RunConfig) -> str:

@@ -117,7 +117,8 @@ class SourceParams:
             warnings.warn(
                 f"mean photon number {mu} is outside the strongly attenuated "
                 "regime (mu << 1); pair post-selection discards most bins",
-                stacklevel=2,
+                # Past __post_init__ and the generated __init__: the caller.
+                stacklevel=3,
             )
 
 

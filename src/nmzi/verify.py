@@ -5,9 +5,14 @@ exactly zero where conservation is exact by construction).  Each evaluates
 the closed-form kernel (:func:`nmzi.correlation.fringe_factors`) once, on its
 whole check grid.  The paper's special forms -- ``sin^2(rho)`` for
 synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are restated
-here and checked against that kernel, not derived from it.  The optional
-Monte Carlo block re-derives the closed forms from photon statistics at
-modest sample sizes with sigma-scaled tolerances.
+here and checked against that kernel, not derived from it.
+
+The Monte Carlo checks compare the photon counts of one draw, nine sweep
+points from the given source, with the closed forms.  Each compares a count
+``k`` of ``n`` trials with its closed-form probability ``p`` by one rule,
+``|k/n - p| / sqrt(p (1 - p) / n)``, so a point that counted nothing is
+measured in the truth's sigma, not in its own +-0 error bar; the tolerances
+are in those sigmas.
 
 ``run_verification`` accepts the element conventions under test so a
 deliberately corrupted convention set can be fed in as a negative control;
@@ -33,7 +38,7 @@ from .elements import (
     ElementConventions,
     beam_splitter_mix,
 )
-from .montecarlo import DETECTORS, SourceParams, estimate_columns, run_experiment
+from .montecarlo import DETECTORS, SourceParams, run_experiment
 from .station import (
     StationParams,
     closed_form_station,
@@ -82,6 +87,8 @@ class VerificationReport:
 
 _PHASES = [2.0 * math.pi * k / 8.0 for k in range(8)]
 _POL_ANGLES = [0.0, math.pi / 6.0, QUARTER_TURN, 1.0, -QUARTER_TURN]
+# Settings (phi, psi, xi, theta) with unequal phases and no dark detector.
+_GENERAL_POINT = (0.9, 1.7, QUARTER_TURN, 0.6)
 
 
 def _check_composed_station(conventions: ElementConventions) -> CheckResult:
@@ -214,61 +221,70 @@ def _check_local_basis_sum() -> CheckResult:
     )
 
 
-def _sigma_or_inf(observed: float, expected: float, sigma: float) -> float:
-    if sigma > 0.0:
-        return abs(observed - expected) / sigma
-    return 0.0 if observed == expected else math.inf
+def _binomial_z(k: int, n: int, p: float) -> float:
+    """How far ``k`` successes in ``n`` trials lie from probability ``p``, in sigmas.
 
-
-def _check_mc_convergence(source: SourceParams) -> CheckResult:
-    points = synchronized_settings(_PHASES, QUARTER_TURN)
-    r_hat, std_error, *_ = estimate_columns(run_experiment(points, source), "analytic")
-    # The sampling target: at phases where the coincidence probability is
-    # exactly zero, both the estimate and this truth are exact zeros.
-    _, _, _, _, r_ad, _ = record_at(points).T
-    worst = 0.0
-    for truth, value, sigma in zip(r_ad.tolist(), r_hat.tolist(), std_error.tolist()):
-        worst = max(worst, _sigma_or_inf(value, truth, sigma))
-    return CheckResult(
-        "monte carlo correlation converges at 8 synchronized phases (sigmas)",
-        worst,
-        5.0,
-    )
-
-
-def _check_mc_singles(source: SourceParams) -> CheckResult:
-    settings = np.array([[0.9, 1.7, QUARTER_TURN, 0.6]])
-    counts = run_experiment(settings, source)[0].counts
-    n = counts.n_post_selected_pairs
+    The sigma is the closed form's own, ``sqrt(p (1 - p) / n)``, so a zero
+    count is measured like any other.  At an exactly dark or certain ``p``
+    that sigma is zero, and any deviation there is infinite.
+    """
     if n == 0:
-        raise ValueError("cannot estimate singles rates from zero post-selected pairs")
-    probabilities = (fringe_factors(settings)[0] / 4.0).tolist()
-    worst = 0.0
-    for detector, p in zip(DETECTORS, probabilities):
-        sigma = math.sqrt(p * (1.0 - p) / n)
-        worst = max(worst, _sigma_or_inf(counts.singles[detector] / n, p, sigma))
-    return CheckResult("monte carlo singles follow the fringe (sigmas)", worst, 4.0)
+        raise ValueError("cannot compare a rate over zero post-selected pairs")
+    sigma = math.sqrt(p * (1.0 - p) / n)
+    if sigma > 0.0:
+        return abs(k / n - p) / sigma
+    return 0.0 if k / n == p else math.inf
 
 
-def _check_mc_post_selection(source: SourceParams) -> CheckResult:
-    settings = synchronized_settings(1.0, QUARTER_TURN)
-    tally = run_experiment(settings, source)[0].tally
-    mu = source.mean_photon_number
-    p2 = math.exp(-mu) * mu * mu / 2.0
-    sigma = math.sqrt(tally.n_bins * p2 * (1.0 - p2))
-    deviation = _sigma_or_inf(float(tally.n_pair_bins), tally.n_bins * p2, sigma)
-    return CheckResult(
-        "doubly bunched bin fraction matches poisson mass (sigmas)", deviation, 4.0
+def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
+    """The photon-counting checks, all read from one draw of nine points.
+
+    Rows 0-7 are the synchronized phases, whose AD coincidence rate must be
+    ``R_AD / 16``; row 8 is a general point, whose singles must follow its
+    fringe; the doubly bunched bins of all nine rows must make up the
+    Poisson pair mass.
+    """
+    settings = np.concatenate(
+        [synchronized_settings(_PHASES, QUARTER_TURN), [_GENERAL_POINT]]
     )
+    results = run_experiment(settings, source)
+    counts = [point.counts for point in results]
+    records = record_at(settings)
+    # Columns 0-3 are the landing probabilities at A-D, column 4 is R_AD.
+    convergence = max(
+        _binomial_z(c.coincidences["AD"], c.n_post_selected_pairs, r_ad / 16.0)
+        for c, r_ad in zip(counts[:8], records[:8, 4].tolist())
+    )
+    singles = max(
+        _binomial_z(counts[8].singles[d], counts[8].n_post_selected_pairs, p)
+        for d, p in zip(DETECTORS, records[8, :4].tolist())
+    )
+    mu = source.mean_photon_number
+    pair_bins = _binomial_z(
+        sum(point.tally.n_pair_bins for point in results),
+        sum(point.tally.n_bins for point in results),
+        math.exp(-mu) * mu * mu / 2.0,
+    )
+    return [
+        CheckResult(
+            "monte carlo correlation converges at 8 synchronized phases (sigmas)",
+            convergence,
+            5.0,
+        ),
+        CheckResult("monte carlo singles follow the fringe (sigmas)", singles, 4.0),
+        CheckResult(
+            "doubly bunched bin fraction matches poisson mass (sigmas)", pair_bins, 4.0
+        ),
+    ]
 
 
 def run_verification(
-    source: SourceParams | None,
+    source: SourceParams,
     conventions: ElementConventions = DEFAULT_CONVENTIONS,
 ) -> VerificationReport:
     """Evaluate every invariant check and collect the report.
 
-    The Monte Carlo checks sample from ``source``; ``None`` skips them.
+    The Monte Carlo checks sample from ``source``.
     """
     checks = [
         _check_composed_station(conventions),
@@ -279,11 +295,6 @@ def run_verification(
         _check_synchronized_form(),
         _check_probability_conservation(),
         _check_local_basis_sum(),
+        *_check_montecarlo(source),
     ]
-    if source is not None:
-        checks += [
-            _check_mc_convergence(source),
-            _check_mc_singles(source),
-            _check_mc_post_selection(source),
-        ]
     return VerificationReport(checks=tuple(checks))

@@ -125,6 +125,7 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
         ),
         (["analytic", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
         (["montecarlo", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
+        (["verify", "--skip-montecarlo"], "usage error"),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -137,42 +138,12 @@ def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
 
 
 def test_verify_passes_and_prints_one_line_per_check(capsys):
-    assert main(["verify", "--skip-montecarlo"]) == 0
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1] == "all 8 checks passed"
-
-
-@pytest.mark.parametrize(
-    "flags, key",
-    [
-        (["--mu", "-1"], "mu"),
-        (["--bins", "5"], "bins"),
-        (["--seed", "3"], "seed"),
-        (["--routing", "binomial"], "routing"),
-    ],
-)
-def test_skip_montecarlo_refuses_source_flags(flags, key, capsys):
-    assert main(["verify", "--skip-montecarlo", *flags]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"config error: config key '{key}' does not apply to "
-        "'verify --skip-montecarlo'\n"
-    )
-
-
-def test_skip_montecarlo_refuses_source_keys_from_a_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 4\n")
-    assert main(["verify", "--skip-montecarlo", "--config", str(cfg)]) == 1
-    assert "config error: config key 'seed' does not apply to" in capsys.readouterr().err
-    # Without the flag the same file configures the Monte Carlo checks.
-    cfg.write_text("bins = 1000000\n")
-    assert main(["verify", "--config", str(cfg)]) == 0
-    capsys.readouterr()
+    assert lines[-1] == "all 11 checks passed"
 
 
 def test_verify_detects_corrupted_conventions(capsys, monkeypatch):
@@ -186,11 +157,11 @@ def test_verify_detects_corrupted_conventions(capsys, monkeypatch):
             conventions=ElementConventions(pbs_reflection_phase=1.0),
         ),
     )
-    code = main(["verify", "--skip-montecarlo"])
+    code = main(["verify"])
     assert code == 2
     out = capsys.readouterr().out
     assert "FAIL  composed station matches closed form" in out
-    assert "1 of 8 checks FAILED" in out
+    assert "1 of 11 checks FAILED" in out
 
 
 def test_out_dir_env_names_the_default_path(tmp_path, monkeypatch, capsys):
@@ -225,7 +196,7 @@ def test_every_flag_dest_is_its_config_key():
     _validate_key(modes.dest)
     for sub in modes.choices.values():
         for action in sub._actions:
-            if action.dest not in ("help", "config", "skip_montecarlo", "sweep", "fix"):
+            if action.dest not in ("help", "config", "sweep", "fix"):
                 _validate_key(action.dest)
     args = parser.parse_args(
         ["analytic", "--sweep", "phi=0:180:45", "--degrees", "--gnuplot"]

@@ -9,10 +9,8 @@ from nmzi.config import (
     ConfigError,
     RunConfig,
     build_sweep_spec,
-    SOURCE_KEYS,
     canonical_config_text,
     parse_config,
-    refuse_source_keys,
 )
 from nmzi.correlation import PRESETS, SweepAxis
 
@@ -168,19 +166,6 @@ def test_verify_refuses_keys_it_does_not_read(key, value):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(f"mode = verify\n{key} = {value}\n")
 
-
-@pytest.mark.parametrize("key", SOURCE_KEYS)
-def test_skip_montecarlo_refuses_each_source_key(key):
-    message = f"config key '{key}' does not apply to 'verify --skip-montecarlo'"
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        refuse_source_keys(f"{key} = 1\n", {"mode": "verify"})
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        refuse_source_keys(None, {"mode": "verify", key: "1"})
-
-
-def test_skip_montecarlo_accepts_a_config_without_source_keys():
-    refuse_source_keys("# analytic checks only\n", {"mode": "verify"})
-    refuse_source_keys(None, {"mode": "verify"})
 
 
 def test_source_validation_surfaces_as_config_error():

@@ -84,8 +84,10 @@ def test_source_params_rejects_bad_values():
 
 
 def test_source_params_warns_outside_attenuated_regime():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         SourceParams(mean_photon_number=0.7, n_time_bins=100)
+    # The warning names the line that built the source, not dataclass code.
+    assert record[0].filename == __file__
     # At or below the threshold: silence.
     import warnings
 

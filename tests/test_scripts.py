@@ -54,6 +54,9 @@ def test_mc_convergence_prints_its_summary(tmp_path):
     rows = [line.split() for line in done.stdout.splitlines() if line[:4].strip().isdigit()]
     assert len(rows) == 3
     assert not [row for row in rows if row[2] == "0.00000" and row[4] == "0.00"]
+    # Seed 0 counts no coincidence at 20000 bins, so its stderr is +-0 and the
+    # ratio of the two stderrs is undefined, not 0.00.
+    assert "stderr ratio at 4x the bins: undefined (zero stderr)" in done.stdout
 
 
 def test_mc_convergence_survives_zero_error_bars_and_refuses_no_seeds(tmp_path):

@@ -38,7 +38,6 @@ def _layer_metrics():
     "argv",
     [
         ["montecarlo", "--preset", "fig2", "--bins", "20000"],
-        ["verify", "--skip-montecarlo"],
         ["analytic", "--preset", "fig3", "--gnuplot"],
         [
             "montecarlo", "--preset", "fig4", "--mu", "0.2", "--bins", "20000",
@@ -48,7 +47,6 @@ def _layer_metrics():
     ],
     ids=[
         "montecarlo-fig2",
-        "verify",
         "analytic-fig3",
         "montecarlo-fig4-binomial",
         "verify-montecarlo",
