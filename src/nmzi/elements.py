@@ -1,9 +1,11 @@
 """Complex-amplitude Jones algebra for the five optical element kinds.
 
-Field amplitudes are plain Python ``complex`` scalars (dimensionless units).
-A polarized spatial mode is a :class:`JonesVector` holding the two complex
-coefficients on the orthonormal H/V linear basis, so its intensity is
-``|h|^2 + |v|^2`` and intensities add across orthogonal components.
+Field amplitudes are complex scalars or complex arrays (dimensionless
+units); every element broadcasts its amplitudes against its angles, so one
+call transforms a whole grid of settings.  A polarized spatial mode is a
+:class:`JonesVector` holding the two complex coefficients on the orthonormal
+H/V linear basis, so its intensity is ``|h|^2 + |v|^2`` and intensities add
+across orthogonal components.
 
 Phase conventions for the lossless elements are not forced by physics alone,
 so they are collected in :class:`ElementConventions` and fixed once as
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Default tolerance for algebraic identities (unitarity, losslessness, ...).
 ALGEBRA_TOL = 1e-12
@@ -94,14 +98,14 @@ def half_wave_plate(field: JonesVector, fast_axis_angle: float) -> JonesVector:
     polarization at angle b maps to ``2a - b``.  Real and involutory, so the
     same plate applied twice is the identity.
     """
-    c = math.cos(2.0 * fast_axis_angle)
-    s = math.sin(2.0 * fast_axis_angle)
+    c = np.cos(2.0 * fast_axis_angle)
+    s = np.sin(2.0 * fast_axis_angle)
     return JonesVector(h=c * field.h + s * field.v, v=s * field.h - c * field.v)
 
 
 def phase_shift(amplitude: complex, phi: float) -> complex:
     """Propagation phase: multiply by ``e^{i phi}``."""
-    return amplitude * complex(math.cos(phi), math.sin(phi))
+    return amplitude * np.exp(1j * phi)
 
 
 def mirror_reflect(
@@ -119,4 +123,4 @@ def polarizer_project(field: JonesVector, zeta: float) -> complex:
     projection amplitude is ``h cos(zeta) + v sin(zeta)``, so a negative
     angle flips the sign of the V contribution.
     """
-    return field.h * math.cos(zeta) + field.v * math.sin(zeta)
+    return field.h * np.cos(zeta) + field.v * np.sin(zeta)

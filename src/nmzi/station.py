@@ -19,13 +19,20 @@ with ``phi`` the arm phase, ``z`` the polarizer angle and ``eta`` a global
 propagation phase that never reaches any intensity.  :func:`composed_station`
 builds the same outputs element by element and is checked against
 :func:`closed_form_station` up to one shared global phase.
+
+Both take the settings as scalars or numpy arrays that broadcast together,
+and return a complex array whose last axis holds the six amplitudes in the
+order ``e_out1.h, e_out1.v, e_out2.h, e_out2.v, e_proj_minus,
+e_proj_plus``.  ``e_proj_minus`` projects output 1 (the ``cos - sin
+e^{i phi}`` port, feeding detector A or C); ``e_proj_plus`` projects
+output 2 (detector B or D).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .elements import (
     ALGEBRA_TOL,
@@ -45,78 +52,50 @@ from .elements import (
 HWP_PREPARATION_ANGLE = 3.0 * math.pi / 8.0
 
 
-def _is_finite_complex(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def _require_finite(**settings) -> None:
+    for name, value in settings.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class StationParams:
-    """Settings of one station.
+def _amplitudes(*columns) -> np.ndarray:
+    """The six output amplitudes, broadcast together, on the last axis."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
-    ``global_phase`` models the source-to-station path length; it is zero for
-    the reference station and arbitrary for the remote one.
+
+def closed_form_station(phi, zeta, eta=0.0, e0=1.0) -> np.ndarray:
+    """Evaluate the station transfer directly from the closed-form expressions.
+
+    ``eta`` is the source-to-station path phase: zero for the reference
+    station, arbitrary for the remote one.  ``e0`` is the input amplitude.
     """
-
-    mzi_phase: float
-    polarizer_angle: float
-    global_phase: float = 0.0
-    input_amplitude: complex = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("mzi_phase", "polarizer_angle", "global_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not _is_finite_complex(complex(self.input_amplitude)):
-            raise ValueError("input_amplitude must be finite")
-
-
-@dataclass(frozen=True)
-class StationOutputs:
-    """Pre-polarizer output modes plus the two projected amplitudes.
-
-    ``e_proj_minus`` is the projection of output 1 (the ``cos - sin e^{i phi}``
-    port, feeding detector A or C); ``e_proj_plus`` projects output 2
-    (detector B or D).
-    """
-
-    e_out1: JonesVector
-    e_out2: JonesVector
-    e_proj_minus: complex
-    e_proj_plus: complex
-
-    def amplitudes(self) -> tuple[complex, ...]:
-        return (
-            self.e_out1.h,
-            self.e_out1.v,
-            self.e_out2.h,
-            self.e_out2.v,
-            self.e_proj_minus,
-            self.e_proj_plus,
-        )
-
-
-def closed_form_station(params: StationParams) -> StationOutputs:
-    """Evaluate the station transfer directly from the closed-form expressions."""
-    half = 0.5 * complex(params.input_amplitude) * cmath.exp(1j * params.global_phase)
-    fringe = cmath.exp(1j * params.mzi_phase)
-    zeta = params.polarizer_angle
-    e_out1 = JonesVector(h=half, v=-half * fringe)
-    e_out2 = JonesVector(h=1j * half, v=1j * half * fringe)
-    e_proj_minus = half * (math.cos(zeta) - math.sin(zeta) * fringe)
-    e_proj_plus = 1j * half * (math.cos(zeta) + math.sin(zeta) * fringe)
-    return StationOutputs(e_out1, e_out2, e_proj_minus, e_proj_plus)
+    _require_finite(phi=phi, zeta=zeta, eta=eta, e0=e0)
+    half = 0.5 * e0 * np.exp(1j * eta)
+    fringe = np.exp(1j * phi)
+    return _amplitudes(
+        half,
+        -half * fringe,
+        1j * half,
+        1j * half * fringe,
+        half * (np.cos(zeta) - np.sin(zeta) * fringe),
+        1j * half * (np.cos(zeta) + np.sin(zeta) * fringe),
+    )
 
 
 def composed_station(
-    params: StationParams,
+    phi,
+    zeta,
+    eta=0.0,
+    e0=1.0,
     conv: ElementConventions = DEFAULT_CONVENTIONS,
-) -> StationOutputs:
+) -> np.ndarray:
     """Build the station from its optical elements, step by step."""
-    e_in = phase_shift(complex(params.input_amplitude), params.global_phase)
+    _require_finite(phi=phi, zeta=zeta, eta=eta, e0=e0)
+    e_in = phase_shift(e0, eta)
     prepared = half_wave_plate(JonesVector(h=0.0, v=e_in), HWP_PREPARATION_ANGLE)
 
     arm_h, arm_v = pbs_split(prepared, conv)
-    arm_v = phase_shift(arm_v, params.mzi_phase)
+    arm_v = phase_shift(arm_v, phi)
     arm_h = mirror_reflect(arm_h, conv)
     arm_v = mirror_reflect(arm_v, conv)
 
@@ -126,40 +105,45 @@ def composed_station(
     out1_v, out2_v = beam_splitter_mix(0.0, arm_v, conv)
     out1 = JonesVector(h=out1_h, v=out1_v)
     out2 = JonesVector(h=out2_h, v=out2_v)
-
-    zeta = params.polarizer_angle
-    return StationOutputs(
-        e_out1=out1,
-        e_out2=out2,
-        e_proj_minus=polarizer_project(out1, zeta),
-        e_proj_plus=polarizer_project(out2, zeta),
+    return _amplitudes(
+        out1_h,
+        out1_v,
+        out2_h,
+        out2_v,
+        polarizer_project(out1, zeta),
+        polarizer_project(out2, zeta),
     )
 
 
-def station_outputs_deviation(
-    candidate: StationOutputs,
-    reference: StationOutputs,
-) -> float:
-    """Largest componentwise mismatch after removing one shared global phase.
+def station_outputs_deviation(candidate, reference) -> np.ndarray:
+    """Largest mismatch per setting after removing one shared global phase.
 
-    The phase is extracted from the first reference component of appreciable
-    magnitude; only relative phases are observable, so a common factor is not
-    a discrepancy.  The returned deviation is relative to the largest
-    reference amplitude (or absolute for an all-zero reference) and includes
-    any departure of the extracted factor from unit modulus.
+    ``candidate`` and ``reference`` hold six amplitudes on their last axis;
+    the result has one deviation per setting.  The phase is extracted from
+    the first reference component of appreciable magnitude; only relative
+    phases are observable, so a common factor is not a discrepancy.  The
+    deviation is relative to the largest reference amplitude (or absolute
+    for an all-zero reference) and includes any departure of the extracted
+    factor from unit modulus.
     """
-    cand = candidate.amplitudes()
-    ref = reference.amplitudes()
-    scale = max(max(abs(z) for z in ref), 1.0)
-    phase = None
-    for c, r in zip(cand, ref):
-        if abs(r) > ALGEBRA_TOL * scale:
-            phase = c / r
-            break
-    if phase is None:
-        # Reference is all-zero; candidate must be too.
-        return max(abs(c) for c in cand) / scale
-    deviation = abs(abs(phase) - 1.0)
-    phase /= abs(phase)
-    mismatch = max(abs(c - phase * r) for c, r in zip(cand, ref)) / scale
-    return max(deviation, mismatch)
+    candidate, reference = np.broadcast_arrays(candidate, reference)
+    magnitude = np.abs(reference)
+    scale = np.maximum(magnitude.max(axis=-1), 1.0)
+    appreciable = magnitude > ALGEBRA_TOL * scale[..., None]
+    found = appreciable.any(axis=-1)
+    first = appreciable.argmax(axis=-1)[..., None]
+    # A setting whose reference is all-zero keeps factor 1 against a zeroed
+    # reference, so its candidate is measured absolutely.
+    factor = np.divide(
+        np.take_along_axis(candidate, first, -1)[..., 0],
+        np.take_along_axis(reference, first, -1)[..., 0],
+        out=np.ones(found.shape, complex),
+        where=found,
+    )
+    modulus = np.abs(factor)
+    phase = np.divide(
+        factor, modulus, out=np.ones(found.shape, complex), where=modulus > 0.0
+    )
+    reference = np.where(found[..., None], reference, 0.0)
+    mismatch = np.abs(candidate - phase[..., None] * reference).max(axis=-1) / scale
+    return np.maximum(np.abs(modulus - 1.0), mismatch)

@@ -1,11 +1,13 @@
 """Self-verification: run the model's identity checks and report deviations.
 
 Analytic checks exercise exact algebraic identities (tolerance 1e-12, or
-exactly zero where conservation is exact by construction).  Each evaluates
-the closed-form kernel (:func:`nmzi.correlation.fringe_factors`) once, on its
-whole check grid.  The paper's special forms -- ``sin^2(rho)`` for
-synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are restated
-here and checked against that kernel, not derived from it.
+exactly zero where conservation is exact by construction).  Each is an array
+call on its whole check grid: of the closed-form kernel
+(:func:`nmzi.correlation.fringe_factors`), of the station models, or of the
+beam splitter, once per reflection phase.  The paper's special forms --
+``sin^2(rho)`` for synchronized stations and the ``+-pi/4`` basis sum of
+``1/2`` -- are restated here and checked against that kernel, not derived
+from it.
 
 The Monte Carlo checks compare the photon counts of one draw, nine sweep
 points from the given source, with the closed forms.  Each compares a count
@@ -40,7 +42,6 @@ from .elements import (
 )
 from .montecarlo import DETECTORS, SourceParams, run_experiment
 from .station import (
-    StationParams,
     closed_form_station,
     composed_station,
     station_outputs_deviation,
@@ -91,24 +92,21 @@ _POL_ANGLES = [0.0, math.pi / 6.0, QUARTER_TURN, 1.0, -QUARTER_TURN]
 _GENERAL_POINT = (0.9, 1.7, QUARTER_TURN, 0.6)
 
 
+def _grid(*columns) -> np.ndarray:
+    """Settings rows over the product of per-column values, row-major."""
+    mesh = np.meshgrid(*columns, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _check_composed_station(conventions: ElementConventions) -> CheckResult:
-    worst = 0.0
-    for phi in _PHASES:
-        for zeta in _POL_ANGLES:
-            for eta in (0.0, 0.7):
-                for amplitude in (1.0, 0.5):
-                    params = StationParams(
-                        mzi_phase=phi,
-                        polarizer_angle=zeta,
-                        global_phase=eta,
-                        input_amplitude=amplitude,
-                    )
-                    deviation = station_outputs_deviation(
-                        composed_station(params, conventions),
-                        closed_form_station(params),
-                    )
-                    worst = max(worst, deviation)
-    return CheckResult("composed station matches closed form", worst, ALGEBRA_TOL)
+    phi, zeta, eta, e0 = _grid(_PHASES, _POL_ANGLES, [0.0, 0.7], [1.0, 0.5]).T
+    deviation = station_outputs_deviation(
+        composed_station(phi, zeta, eta, e0, conventions),
+        closed_form_station(phi, zeta, eta, e0),
+    )
+    return CheckResult(
+        "composed station matches closed form", float(deviation.max()), ALGEBRA_TOL
+    )
 
 
 def _check_beam_splitter_unitarity() -> CheckResult:
@@ -116,34 +114,23 @@ def _check_beam_splitter_unitarity() -> CheckResult:
     worst = 0.0
     for phase in (1j, -1j, 1.0, complex(math.cos(0.3), math.sin(0.3))):
         conventions = ElementConventions(bs_reflection_phase=phase)
-        for _ in range(50):
-            re = rng.normal(size=4)
-            upper = complex(re[0], re[1])
-            lower = complex(re[2], re[3])
-            out_upper, out_lower = beam_splitter_mix(upper, lower, conventions)
-            before = abs(upper) ** 2 + abs(lower) ** 2
-            after = abs(out_upper) ** 2 + abs(out_lower) ** 2
-            worst = max(worst, abs(after - before))
+        # Each row of four normals is one (upper, lower) pair of amplitudes.
+        upper, lower = rng.normal(size=(50, 4)).view(complex).T
+        out_upper, out_lower = beam_splitter_mix(upper, lower, conventions)
+        before = np.abs(upper) ** 2 + np.abs(lower) ** 2
+        after = np.abs(out_upper) ** 2 + np.abs(out_lower) ** 2
+        worst = max(worst, float(np.max(np.abs(after - before))))
     return CheckResult("beam splitter conserves energy", worst, ALGEBRA_TOL)
 
 
 def _check_station_energy() -> CheckResult:
-    worst = 0.0
-    for phi in _PHASES:
-        for zeta in _POL_ANGLES:
-            params = StationParams(
-                mzi_phase=phi, polarizer_angle=zeta, input_amplitude=0.8
-            )
-            outputs = closed_form_station(params)
-            total = outputs.e_out1.intensity() + outputs.e_out2.intensity()
-            worst = max(worst, abs(total - 0.8**2))
-    return CheckResult("station outputs carry the input energy", worst, ALGEBRA_TOL)
-
-
-def _grid(*columns) -> np.ndarray:
-    """Settings rows over the product of per-column values, row-major."""
-    mesh = np.meshgrid(*columns, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    phi, zeta = _grid(_PHASES, _POL_ANGLES).T
+    unprojected = closed_form_station(phi, zeta, e0=0.8)[:, :4]
+    total = np.sum(np.abs(unprojected) ** 2, axis=1)
+    worst = np.max(np.abs(total - 0.8**2))
+    return CheckResult(
+        "station outputs carry the input energy", float(worst), ALGEBRA_TOL
+    )
 
 
 def _both_signs(rho: np.ndarray) -> np.ndarray:
@@ -155,22 +142,16 @@ def _both_signs(rho: np.ndarray) -> np.ndarray:
 
 def _check_intensities_match_projections() -> CheckResult:
     settings = _grid(_PHASES, _PHASES[::2], _POL_ANGLES, [0.6])
-    intensities = fringe_factors(settings) / 4.0
-    worst = 0.0
-    for (phi, psi, xi, theta), (i_a, i_b, i_c, i_d) in zip(
-        settings.tolist(), intensities.tolist()
-    ):
-        alice = closed_form_station(StationParams(mzi_phase=phi, polarizer_angle=xi))
-        bob = closed_form_station(StationParams(mzi_phase=psi, polarizer_angle=theta))
-        worst = max(
-            worst,
-            abs(i_a - abs(alice.e_proj_minus) ** 2),
-            abs(i_b - abs(alice.e_proj_plus) ** 2),
-            abs(i_c - abs(bob.e_proj_minus) ** 2),
-            abs(i_d - abs(bob.e_proj_plus) ** 2),
-        )
+    # Phases (phi, psi) against polarizers (xi, theta): Alice's station, then
+    # Bob's, whose projected amplitudes land on A, B and C, D.
+    projected = closed_form_station(settings[:, :2], settings[:, 2:])[..., 4:]
+    worst = np.max(
+        np.abs(fringe_factors(settings) / 4.0 - np.abs(projected.reshape(-1, 4)) ** 2)
+    )
     return CheckResult(
-        "detector intensities equal projected station amplitudes", worst, ALGEBRA_TOL
+        "detector intensities equal projected station amplitudes",
+        float(worst),
+        ALGEBRA_TOL,
     )
 
 

@@ -27,7 +27,6 @@ from nmzi.correlation import (
 from nmzi.montecarlo import DETECTORS, SourceParams, estimate_columns, run_experiment
 from nmzi.output import csv_rows
 from nmzi.station import (
-    StationParams,
     closed_form_station,
     composed_station,
     station_outputs_deviation,
@@ -177,20 +176,20 @@ def test_4_phase_vs_polarizer_map_peak_and_symmetry(report):
 def test_5_composed_model_reproduces_closed_form(report):
     rng = np.random.default_rng(987654321)
     started = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        params = StationParams(
-            mzi_phase=rng.uniform(0.0, 2.0 * math.pi),
-            polarizer_angle=rng.uniform(-math.pi, math.pi),
-            global_phase=rng.uniform(0.0, 2.0 * math.pi),
-            input_amplitude=rng.uniform(0.1, 2.0),
-        )
-        worst = max(
-            worst,
+    # Per setting: phase, polarizer angle, global phase, input amplitude.
+    phi, zeta, eta, e0 = rng.uniform(
+        [0.0, -math.pi, 0.0, 0.1],
+        [2.0 * math.pi, math.pi, 2.0 * math.pi, 2.0],
+        size=(1000, 4),
+    ).T
+    worst = float(
+        np.max(
             station_outputs_deviation(
-                composed_station(params), closed_form_station(params)
-            ),
+                composed_station(phi, zeta, eta, e0),
+                closed_form_station(phi, zeta, eta, e0),
+            )
         )
+    )
     elapsed = time.perf_counter() - started
     passed = worst < TOL and elapsed < 1.0
     report(
@@ -205,53 +204,26 @@ def test_5_composed_model_reproduces_closed_form(report):
 
 def test_6_energy_and_probability_conservation(report):
     rng = np.random.default_rng(20260815)
-    worst = 0.0
-    for _ in range(1000):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        xi = rng.uniform(-math.pi, math.pi)
-        settings = np.array([[
-            phi,
-            rng.uniform(0.0, 2.0 * math.pi),
-            xi,
-            rng.uniform(-math.pi, math.pi),
-        ]])
-        i_a, i_b, i_c, i_d = record_at(settings)[0, :4]
-        worst = max(
-            worst, abs(i_a + i_b - 0.5), abs(i_c + i_d - 0.5)
+    # Per setting, in draw order: phi, xi, psi, theta, input amplitude.
+    phi, xi, psi, theta, amplitude = rng.uniform(
+        [0.0, -math.pi, 0.0, -math.pi, 0.1],
+        [2.0 * math.pi, math.pi, 2.0 * math.pi, math.pi, 2.0],
+        size=(1000, 5),
+    ).T
+    i_a, i_b, i_c, i_d = record_at(np.column_stack([phi, psi, xi, theta]))[:, :4].T
+    # Alice's station at global phases 0, pi/3 and pi, one per middle index.
+    etas = np.array([0.0, math.pi / 3.0, math.pi])
+    outputs = closed_form_station(phi[:, None], xi[:, None], etas, amplitude[:, None])
+    energy = np.sum(np.abs(outputs[:, 0, :4]) ** 2, axis=1)
+    projected = np.abs(outputs[..., 4:]) ** 2
+    worst = float(
+        max(
+            np.max(np.abs(i_a + i_b - 0.5)),
+            np.max(np.abs(i_c + i_d - 0.5)),
+            np.max(np.abs(energy - amplitude**2)),
+            np.max(np.abs(projected[:, 1:] - projected[:, :1])),
         )
-        amplitude = rng.uniform(0.1, 2.0)
-        base = StationParams(
-            mzi_phase=phi, polarizer_angle=xi, input_amplitude=amplitude
-        )
-        outputs = closed_form_station(base)
-        worst = max(
-            worst,
-            abs(
-                outputs.e_out1.intensity()
-                + outputs.e_out2.intensity()
-                - amplitude**2
-            ),
-        )
-        for eta in (math.pi / 3.0, math.pi):
-            shifted = closed_form_station(
-                StationParams(
-                    mzi_phase=phi,
-                    polarizer_angle=xi,
-                    global_phase=eta,
-                    input_amplitude=amplitude,
-                )
-            )
-            worst = max(
-                worst,
-                abs(
-                    abs(shifted.e_proj_minus) ** 2
-                    - abs(outputs.e_proj_minus) ** 2
-                ),
-                abs(
-                    abs(shifted.e_proj_plus) ** 2
-                    - abs(outputs.e_proj_plus) ** 2
-                ),
-            )
+    )
     passed = worst < TOL
     report(
         6,

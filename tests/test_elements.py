@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,6 +181,35 @@ def test_polarizer_contracts_intensity(h, v, zeta):
 def test_malus_law_for_pure_h(zeta):
     out = polarizer_project(jones(1.0, 0.0), zeta)
     assert abs(abs(out) ** 2 - math.cos(zeta) ** 2) < ALGEBRA_TOL
+
+
+# ------------------------------------------------------------------ broadcasting
+
+def every_element(h, v, angle):
+    """The outputs of all six element functions for one set of inputs."""
+    conv = ElementConventions(bs_reflection_phase=cmath.exp(0.3j), mirror_phase=-1j)
+    field = jones(h, v)
+    plate = half_wave_plate(field, angle)
+    return [
+        *beam_splitter_mix(h, v, conv),
+        *pbs_split(field, conv),
+        plate.h,
+        plate.v,
+        phase_shift(h, angle),
+        mirror_reflect(h, conv),
+        polarizer_project(field, angle),
+    ]
+
+
+@given(st.lists(st.tuples(amplitudes, amplitudes, angles), min_size=2, max_size=8))
+def test_elements_on_arrays_match_scalar_calls(rows):
+    h, v, angle = (np.array(column) for column in zip(*rows))
+    batched = every_element(h, v, angle)
+    for i, (a, b, alpha) in enumerate(rows):
+        scale = max(1.0, abs(a), abs(b))
+        for array, value in zip(batched, every_element(a, b, alpha)):
+            assert np.shape(array) == h.shape
+            assert abs(array[i] - value) <= ALGEBRA_TOL * scale
 
 
 # ------------------------------------------------------------- types / plumbing
