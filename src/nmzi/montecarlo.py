@@ -17,18 +17,24 @@ whole ``(N, 4)`` settings array.  The two photons are sampled independently
 
 Sampling: bins are independent and identically distributed, and so are the
 pairs, while the estimator reads only per-point totals.  Each sweep point
-therefore draws its totals directly, exactly in distribution, in three draws
-whose cost does not grow with the number of time bins:
+therefore draws its totals directly, exactly in distribution, in one
+multinomial of ``n_time_bins`` whose cost does not grow with the number of
+time bins.  Its twelve classes are
 
-1. a multinomial of ``n_time_bins`` over the bin classes {n = 2, n >= 3,
-   n <= 1}, with Poisson masses ``e^-mu mu^2 / 2``, the multi-photon mass
-   (the clamped remainder, or its series where the remainder would cancel),
-   and ``e^-mu (1 + mu)``, computed once per run;
-2. for ``binomial`` routing only, ``Binomial(n_pair, 1/2)`` same-side
-   rejections;
-3. a multinomial of the post-selected pairs over the nine joint fates
-   (A|B|loss) x (C|D|loss), each the product of the two photons' landing
-   probabilities.
+1. the nine joint fates (A|B|loss) x (C|D|loss) of a kept pair, each
+   ``p_pair * keep`` times the product of the two photons' landing
+   probabilities, in ``FATES`` order;
+2. the pairs that ``binomial`` routing rejects, ``p_pair * (1 - keep)``;
+3. the ``n >= 3`` bins, ``p_multi``;
+4. the ``n <= 1`` bins, ``p_low``, last, as numpy's remainder,
+
+where ``keep`` is 1/2 under ``binomial`` routing and 1 under ``paired``, and
+the Poisson masses ``p_pair = e^-mu mu^2 / 2``, ``p_multi`` (the clamped
+remainder, or its series where the remainder would cancel) and
+``p_low = e^-mu (1 + mu)`` are computed once per run.  Thinning composes
+exactly, so this is the distribution of a multinomial over the bin classes,
+then ``Binomial(n_pair, 1/2)`` same-side rejections, then a multinomial of
+the kept pairs over the nine fates.
 
 The nine fate counts are the stored record of a point's detection:
 ``counts.fates``, in ``FATES`` order (AC, AD, Ax, BC, BD, Bx, xC, xD, xx,
@@ -42,10 +48,15 @@ proportions, normalized by the product of singles marginals (``1/4`` each
 analytically, or sweep-averaged measured rates), converge to the closed forms
 in :mod:`nmzi.correlation` with a plain binomial standard error.
 
-Reproducibility: ``SeedSequence(rng_seed)`` spawns one child per sweep point,
-in grid order, and each point makes its three draws from one generator on its
-child.  A point's counts depend only on the run seed and the point's position
-in the sweep, and results are bit-identical for a given seed.
+Reproducibility: the sweep is cut into blocks of 1024 rows, aligned to the
+row index, and block ``b`` samples its rows in order from one generator on
+``SeedSequence(rng_seed, spawn_key=(b,))``, the ``b``-th child that
+``SeedSequence(rng_seed).spawn`` would give.  A point's counts depend on the
+seed, on its row position, and on the settings of the earlier rows in its
+1024-row block: numpy's binomial is a rejection sampler, so the uniforms a
+row consumes depend on its probabilities.  Each point is still exactly
+distributed and independent of the others, prefix sweeps stay bit-identical,
+and results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -80,6 +91,10 @@ _MU_WARNING_THRESHOLD = 0.5
 # Below this mean photon number the multi-photon mass comes from its series:
 # 1 - p_low - p_pair cancels to a relative error above 1e-9 there.
 _MULTI_SERIES_BELOW = 0.01
+
+# Sweep rows per generator.  Part of the output contract: a row's counts
+# follow from the settings of the earlier rows in its block.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -200,52 +215,53 @@ def _class_masses(mu: float) -> list[float]:
     return [p_pair, p_multi, p_low]
 
 
-def _accumulate_point(
-    p: Sequence[float],
-    src: SourceParams,
-    masses: list[float],
-    point_seq: np.random.SeedSequence,
-) -> McPointResult:
-    """Draw one sweep point's source and detection totals (module docstring).
+def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
+    """The ``(N, 12)`` int64 class counts of a sweep, one row per point.
 
-    ``p`` holds the point's landing probabilities at detectors (A, B, C, D);
-    ``masses`` is ``_class_masses`` of the source.
+    Columns: the nine fates in ``FATES`` order, the routing-rejected pairs,
+    the ``n >= 3`` bins and the ``n <= 1`` bins (module docstring).
     """
-    rng = np.random.default_rng(point_seq)
-    # numpy takes the last class as the remainder of the others, so the pair
-    # class goes first and keeps its exact mass.
-    n_pair, n_multi, _ = rng.multinomial(src.n_time_bins, masses).tolist()
-    n_rejected = int(rng.binomial(n_pair, 0.5)) if src.routing == "binomial" else 0
-
-    p_a, p_b, p_c, p_d = p
-    # In FATES order: each of Alice's three fates times each of Bob's.
-    fates = rng.multinomial(
-        n_pair - n_rejected,
-        [pa * pb for pa in (p_a, p_b, 0.5) for pb in (p_c, p_d, 0.5)],
-    )
-    return McPointResult(
-        counts=CoincidenceCounts(tuple(fates.tolist())),
-        tally=SamplingTally(src.n_time_bins, n_pair, n_multi, n_rejected),
-    )
+    p_pair, p_multi, p_low = _class_masses(src.mean_photon_number)
+    keep = 0.5 if src.routing == "binomial" else 1.0
+    # Each row's (A, B, loss) and (C, D, loss) landing probabilities.
+    landing = np.full((len(settings), 2, 3), 0.5)
+    landing[:, :, :2] = (fringe_factors(settings) / 4.0).reshape(-1, 2, 2)
+    counts = np.empty((len(settings), 12), dtype=np.int64)
+    for block, start in enumerate(range(0, len(settings), _BLOCK_ROWS)):
+        alice, bob = landing[start : start + _BLOCK_ROWS].transpose(1, 0, 2)
+        pvals = np.empty((len(alice), 12))
+        fates = (alice[:, :, None] * bob[:, None, :]).reshape(-1, 9)
+        pvals[:, :9] = fates * (p_pair * keep)
+        # numpy takes the last class as the remainder of the others, so the
+        # large n <= 1 mass goes last and every other class keeps its own.
+        pvals[:, 9:] = [p_pair * (1.0 - keep), p_multi, p_low]
+        seed = np.random.SeedSequence(src.rng_seed, spawn_key=(block,))
+        rng = np.random.default_rng(seed)
+        counts[start : start + _BLOCK_ROWS] = rng.multinomial(src.n_time_bins, pvals)
+    return counts
 
 
 def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResult]:
     """Sample the tallies of an ``(N, 4)`` settings array, one result per row.
 
-    Deterministic for a fixed seed: every sweep point gets its own child
-    seed by its position in the sweep, so no point's result depends on the
-    settings of another.
+    Deterministic for a fixed seed.  Rows are sampled in blocks of 1024,
+    aligned to the row index, one generator per block, so a point's counts
+    depend on the seed, on its row position, and on the settings of the
+    earlier rows in its 1024-row block.  Each point is still exactly
+    distributed and independent of the others, and a prefix of a sweep
+    reproduces the leading rows bit for bit.
     """
     if len(settings) == 0:
         raise ValueError("settings sweep is empty")
     if not np.isfinite(settings).all():
         raise ValueError("settings must be finite")
-    probabilities = (fringe_factors(settings) / 4.0).tolist()
-    masses = _class_masses(src.mean_photon_number)
-    root = np.random.SeedSequence(src.rng_seed)
+    n_bins = src.n_time_bins
     return [
-        _accumulate_point(p, src, masses, point_seq)
-        for p, point_seq in zip(probabilities, root.spawn(len(probabilities)))
+        McPointResult(
+            counts=CoincidenceCounts(tuple(row[:9])),
+            tally=SamplingTally(n_bins, sum(row[:10]), row[10], row[9]),
+        )
+        for row in _sample_counts(settings, src).tolist()
     ]
 
 

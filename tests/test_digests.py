@@ -21,10 +21,10 @@ ANALYTIC_SHA256 = {
 }
 
 MONTECARLO_SHA256 = {
-    "paired": "f8de70a9ada621c0f70209ddf64142757d8b3babacf8a0cbaeae394a5bcb463b",
-    "binomial": "1ddb91c8b96f2e36d4c48d8910aadfeacdd2833790e1d90769d9c454668bdae9",
+    "paired": "f99c4b11d8ceef42c3b328122f417e37721d2f62bb1ed39bb2f9f810f0c96070",
+    "binomial": "e1e1eae59858dac463ef668a90bfa2c41ac7aa983361aacd4defa78ce515e519",
     # ROUTING-NORMALIZATION: the same sweep with --normalization measured.
-    "paired-measured": "15d81f3888a764cb39fecc726a7a713d7403a49b1619094f973f61516526892a",
+    "paired-measured": "01c2663a08c9596acd754df57a3fb22ced17a37d02f39ebad81bd8e712fceee1",
 }
 
 
@@ -63,7 +63,7 @@ def test_montecarlo_csv_digest(case, tmp_path, capsys):
 
 # The benchmark's largest Monte Carlo render: 10 201 rows of 16 columns, whose
 # R_hat, stderr and n_pairs values repeat heavily across the grid.
-FIG4_BINOMIAL_SHA256 = "8103378d751191bcba5b4b1d36d709f2269ffa560156b7edff4b8b1d242aae3d"
+FIG4_BINOMIAL_SHA256 = "70788952df2dd60874e605beb3d5c61b1122a07e236646389318fafe6e823699"
 
 
 def test_montecarlo_fig4_binomial_digest(tmp_path, capsys):
