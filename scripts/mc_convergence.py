@@ -28,9 +28,9 @@ from nmzi.montecarlo import SourceParams, estimate_columns, run_experiment
 def _estimate(rho: float, mu: float, bins: int, seed: int):
     """R_hat_AD, its stderr, the pair count and the closed form's R_AD."""
     settings = synchronized_settings(rho, QUARTER_TURN)
-    results = run_experiment(settings, SourceParams(mu, bins, rng_seed=seed))
+    sweep = run_experiment(settings, SourceParams(mu, bins, rng_seed=seed))
     r_hat, std_error, _, _, n_pairs = (
-        column.item() for column in estimate_columns(results, "analytic")
+        column.item() for column in estimate_columns(sweep.fates, "analytic")
     )
     truth = record_at(settings)[0, RECORD_COLUMNS.index("R_AD")].item()
     return r_hat, std_error, n_pairs, truth

@@ -169,7 +169,7 @@ def _run_sweep_mode(config: RunConfig) -> int:
     mc_columns = None
     if config.mode == "montecarlo":
         mc_columns = estimate_columns(
-            run_experiment(settings, config.source), config.normalization
+            run_experiment(settings, config.source).fates, config.normalization
         )
     out_path = _resolve_out_path(config)
     emit_csv(settings, records, out_path, mc_columns)

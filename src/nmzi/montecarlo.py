@@ -36,17 +36,19 @@ exactly, so this is the distribution of a multinomial over the bin classes,
 then ``Binomial(n_pair, 1/2)`` same-side rejections, then a multinomial of
 the kept pairs over the nine fates.
 
-The nine fate counts are the stored record of a point's detection:
-``counts.fates``, in ``FATES`` order (AC, AD, Ax, BC, BD, Bx, xC, xD, xx,
-where ``x`` is an absorbed photon).  Singles, coincidences and the number of
-post-selected pairs are sums of them.
+The nine fate counts are the stored record of a point's detection: the
+first nine columns of the count array, in ``FATES`` order (AC, AD, Ax, BC,
+BD, Bx, xC, xD, xx, where ``x`` is an absorbed photon).  Singles,
+coincidences and the number of post-selected pairs are sums of them.
 
-Estimation is separate from sampling: :func:`run_experiment` returns each
-point's raw tallies, and :func:`estimate_columns` turns a whole sweep's
-tallies into the Monte Carlo CSV columns at once.  The AD and BC coincidence
-proportions, normalized by the product of singles marginals (``1/4`` each
-analytically, or sweep-averaged measured rates), converge to the closed forms
-in :mod:`nmzi.correlation` with a plain binomial standard error.
+Estimation is separate from sampling: :func:`run_experiment` returns the
+sweep's ``(N, 12)`` count array, wrapped in a :class:`SweepCounts`, and
+:func:`estimate_columns` turns its ``(N, 9)`` fate columns into the Monte
+Carlo CSV columns at once, with no per-point Python object on the way.  The
+AD and BC coincidence proportions, normalized by the product of singles
+marginals (``1/4`` each analytically, or sweep-averaged measured rates),
+converge to the closed forms in :mod:`nmzi.correlation` with a plain
+binomial standard error.
 
 Reproducibility: the sweep is cut into blocks of 1024 rows, aligned to the
 row index, and block ``b`` samples its rows in order from one generator on
@@ -62,9 +64,10 @@ and results are bit-identical for a given seed.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -167,11 +170,7 @@ class CoincidenceCounts:
 
     @property
     def singles(self) -> dict:
-        """Detections per detector: the sum of the fates that name it."""
-        return {
-            d: sum(k for fate, k in zip(FATES, self.fates) if d in fate)
-            for d in DETECTORS
-        }
+        return detector_singles(self.fates)
 
     @property
     def coincidences(self) -> dict:
@@ -182,10 +181,47 @@ class CoincidenceCounts:
 
 @dataclass(frozen=True)
 class McPointResult:
-    """Per-sweep-point Monte Carlo output: the raw tallies of one point."""
+    """One row of a :class:`SweepCounts`, as Python objects."""
 
     counts: CoincidenceCounts
     tally: SamplingTally
+
+
+def detector_singles(fates: Sequence[int]) -> dict:
+    """Detections per detector: the sum of the fates that name it."""
+    return {
+        d: sum(k for fate, k in zip(FATES, fates) if d in fate) for d in DETECTORS
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class SweepCounts(Sequence):
+    """A sampled sweep: the ``(N, 12)`` int64 count array and its bins per point.
+
+    ``counts`` has one row per sweep point, in the column order of the module
+    docstring; ``fates`` is its first nine columns.  As a read-only sequence
+    it has one item per row: indexing builds that row's
+    :class:`McPointResult` on demand, and a slice is the sweep of those rows.
+    """
+
+    counts: np.ndarray
+    n_bins: int
+
+    @property
+    def fates(self) -> np.ndarray:
+        return self.counts[:, :9]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepCounts(self.counts[index], self.n_bins)
+        row = self.counts[operator.index(index)].tolist()
+        return McPointResult(
+            counts=CoincidenceCounts(tuple(row[:9])),
+            tally=SamplingTally(self.n_bins, sum(row[:10]), row[10], row[9]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +277,8 @@ def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
     return counts
 
 
-def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResult]:
-    """Sample the tallies of an ``(N, 4)`` settings array, one result per row.
+def run_experiment(settings: np.ndarray, src: SourceParams) -> SweepCounts:
+    """Sample the class counts of an ``(N, 4)`` settings array, one row per point.
 
     Deterministic for a fixed seed.  Rows are sampled in blocks of 1024,
     aligned to the row index, one generator per block, so a point's counts
@@ -255,24 +291,20 @@ def run_experiment(settings: np.ndarray, src: SourceParams) -> list[McPointResul
         raise ValueError("settings sweep is empty")
     if not np.isfinite(settings).all():
         raise ValueError("settings must be finite")
-    n_bins = src.n_time_bins
-    return [
-        McPointResult(
-            counts=CoincidenceCounts(tuple(row[:9])),
-            tally=SamplingTally(n_bins, sum(row[:10]), row[10], row[9]),
-        )
-        for row in _sample_counts(settings, src).tolist()
-    ]
+    counts = _sample_counts(settings, src)
+    counts.flags.writeable = False
+    return SweepCounts(counts, src.n_time_bins)
 
 
 # ---------------------------------------------------------------------------
 # Estimation
 
 
-def estimate_columns(
-    results: Sequence[McPointResult], normalization: str
-) -> tuple[np.ndarray, ...]:
+def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray, ...]:
     """The Monte Carlo CSV columns of a sweep, in ``ESTIMATE_COLUMNS`` order.
+
+    ``fates`` is the sweep's ``(N, 9)`` int64 fate counts in ``FATES`` order,
+    one row per point, such as :attr:`SweepCounts.fates`.
 
     ``R_hat = p_hat / den`` and ``stderr = sqrt(p_hat (1 - p_hat) / n) / den``
     for the AD and BC coincidences, with ``p_hat = k / n`` over the point's
@@ -290,17 +322,17 @@ def estimate_columns(
         raise ValueError(
             f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
-    fates = np.array([point.counts.fates for point in results], dtype=np.int64)
     n = fates.sum(axis=1)
     if normalization == "analytic":
         marginals = dict.fromkeys(DETECTORS, ANALYTIC_MARGINAL)
     else:
         # Sweep totals as Python ints: an int64 sum over many points can wrap.
-        sweep = CoincidenceCounts(tuple(sum(column) for column in fates.T.tolist()))
-        total_pairs = sweep.n_post_selected_pairs
+        totals = [sum(column) for column in fates.T.tolist()]
+        total_pairs = sum(totals)
         if total_pairs == 0:
             raise ValueError("no post-selected pairs anywhere in the sweep")
-        marginals = {d: k / total_pairs for d, k in sweep.singles.items()}
+        singles = detector_singles(totals)
+        marginals = {d: k / total_pairs for d, k in singles.items()}
     if not (n > 0).all():
         raise ValueError("cannot estimate a correlation from zero post-selected pairs")
     if min(marginals.values()) <= 0.0:

@@ -40,7 +40,7 @@ from .elements import (
     ElementConventions,
     beam_splitter_mix,
 )
-from .montecarlo import DETECTORS, SourceParams, run_experiment
+from .montecarlo import DETECTORS, FATES, SourceParams, detector_singles, run_experiment
 from .station import (
     closed_form_station,
     composed_station,
@@ -228,22 +228,27 @@ def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
     settings = np.concatenate(
         [synchronized_settings(_PHASES, QUARTER_TURN), [_GENERAL_POINT]]
     )
-    results = run_experiment(settings, source)
-    counts = [point.counts for point in results]
+    counts = run_experiment(settings, source).counts
+    fates = counts[:, :9].tolist()
+    n_post = [sum(row) for row in fates]
     records = record_at(settings)
     # Columns 0-3 are the landing probabilities at A-D, column 4 is R_AD.
     convergence = max(
-        _binomial_z(c.coincidences["AD"], c.n_post_selected_pairs, r_ad / 16.0)
-        for c, r_ad in zip(counts[:8], records[:8, 4].tolist())
+        _binomial_z(k, n, r_ad / 16.0)
+        for k, n, r_ad in zip(
+            counts[:8, FATES.index("AD")].tolist(), n_post, records[:8, 4].tolist()
+        )
     )
+    general = detector_singles(fates[8])
     singles = max(
-        _binomial_z(counts[8].singles[d], counts[8].n_post_selected_pairs, p)
+        _binomial_z(general[d], n_post[8], p)
         for d, p in zip(DETECTORS, records[8, :4].tolist())
     )
     mu = source.mean_photon_number
+    # A row's pair bins are its nine fates plus its routing-rejected pairs.
     pair_bins = _binomial_z(
-        sum(point.tally.n_pair_bins for point in results),
-        sum(point.tally.n_bins for point in results),
+        sum(counts[:, :10].sum(axis=1).tolist()),
+        source.n_time_bins * len(counts),
         math.exp(-mu) * mu * mu / 2.0,
     )
     return [

@@ -245,7 +245,7 @@ def test_7_photon_counting_reproduces_the_fringe(report):
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )
     results = run_experiment(points, source)
-    r_hat, std_error, *_ = estimate_columns(results, "analytic")
+    r_hat, std_error, *_ = estimate_columns(results.fates, "analytic")
     worst_z = 0.0
     worst_singles_z = 0.0
     worst_stderr = 0.0

@@ -19,10 +19,10 @@ from nmzi.montecarlo import (
     DETECTORS,
     ESTIMATE_COLUMNS,
     FATES,
-    CoincidenceCounts,
+    ROUTING_MODES,
     McPointResult,
-    SamplingTally,
     SourceParams,
+    SweepCounts,
     _class_masses,
     estimate_columns,
     run_experiment,
@@ -50,9 +50,14 @@ def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
     return run_experiment(settings, src)[0]
 
 
+def fates_of(*results):
+    """The ``(N, 9)`` fate array of row views, one row per result."""
+    return np.array([result.counts.fates for result in results], dtype=np.int64)
+
+
 def estimate_ad(result):
     """R_hat_AD and stderr_AD of one point, analytic normalization."""
-    r_hat, std_error, *_ = estimate_columns([result], "analytic")
+    r_hat, std_error, *_ = estimate_columns(fates_of(result), "analytic")
     return r_hat[0], std_error[0]
 
 
@@ -347,7 +352,7 @@ def test_estimate_synchronized_peak():
     value, std_error = estimate_ad(result)
     assert std_error > 0
     assert abs(value - 1.0) <= 5.0 * std_error
-    n_pairs = estimate_columns([result], "analytic")[-1]
+    n_pairs = estimate_columns(fates_of(result), "analytic")[-1]
     assert n_pairs.tolist() == [result.counts.n_post_selected_pairs]
 
 
@@ -371,20 +376,22 @@ def test_estimate_antisynchronized_peak_is_four():
 
 
 def test_estimate_rejects_degenerate_inputs():
-    empty = McPointResult(CoincidenceCounts((0,) * 9), SamplingTally(0, 0, 0, 0))
+    empty = np.zeros((1, 9), dtype=np.int64)
     with pytest.raises(ValueError, match="zero post-selected pairs"):
-        estimate_columns([empty], "analytic")
+        estimate_columns(empty, "analytic")
     with pytest.raises(ValueError, match="anywhere in the sweep"):
-        estimate_columns([empty], "measured")
-    point = run_single_point(np.array([[1.0, 1.0, 0.5, 0.5]]), n_bins=100_000)
+        estimate_columns(empty, "measured")
+    point = fates_of(
+        run_single_point(np.array([[1.0, 1.0, 0.5, 0.5]]), n_bins=100_000)
+    )
     with pytest.raises(ValueError, match="zero post-selected pairs"):
-        estimate_columns([point, empty], "measured")
+        estimate_columns(np.concatenate([point, empty]), "measured")
     # Detectors A and C never fire at this point.
     dark = run_single_point(np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]]))
     with pytest.raises(ValueError, match="marginals must be positive"):
-        estimate_columns([dark], "measured")
+        estimate_columns(fates_of(dark), "measured")
     with pytest.raises(ValueError):
-        estimate_columns([point], "bogus")
+        estimate_columns(point, "bogus")
 
 
 def sweep_singles(points):
@@ -429,10 +436,7 @@ point_fates = st.tuples(*[st.integers(0, (2**53 - 1) // 9)] * 9).filter(
 )
 def test_estimate_columns_equal_scalar_formulas_bit_for_bit(points, normalization):
     assume(normalization == "analytic" or min(sweep_singles(points).values()) > 0)
-    results = [
-        McPointResult(CoincidenceCounts(f), SamplingTally(0, 0, 0, 0)) for f in points
-    ]
-    columns = estimate_columns(results, normalization)
+    columns = estimate_columns(np.array(points, dtype=np.int64), normalization)
     assert len(columns) == len(ESTIMATE_COLUMNS)
     rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
     expected = scalar_columns(points, normalization)
@@ -451,8 +455,10 @@ def test_measured_normalization_close_to_analytic():
     points = synchronized_settings(phases, QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1_000_000, rng_seed=83)
     results = run_experiment(points, src)
-    r_analytic, _, _, _, n_analytic = estimate_columns(results, "analytic")
-    r_measured, se_measured, _, _, n_measured = estimate_columns(results, "measured")
+    r_analytic, _, _, _, n_analytic = estimate_columns(results.fates, "analytic")
+    r_measured, se_measured, _, _, n_measured = estimate_columns(
+        results.fates, "measured"
+    )
     assert n_analytic.tolist() == n_measured.tolist()
     for r_a, r_m, se_m, result in zip(r_analytic, r_measured, se_measured, results):
         assert abs(r_a - r_m) < 0.15
@@ -473,14 +479,16 @@ def test_run_experiment_preserves_grid_and_determinism():
         assert r1.counts == r2.counts
         assert r1.tally == r2.tally
     for c1, c2 in zip(
-        estimate_columns(first, "analytic"), estimate_columns(second, "analytic")
+        estimate_columns(first.fates, "analytic"),
+        estimate_columns(second.fates, "analytic"),
     ):
         assert c1.tolist() == c2.tolist()
     for r in first:
         assert isinstance(r, McPointResult)
         assert r.tally.n_bins == 200_000
-    # Each point draws from its own child seed, so a shorter sweep repeats
-    # the leading points exactly.
+    # Rows are sampled in 1024-row blocks aligned to the row index, one
+    # generator per block, so a shorter sweep repeats the leading points
+    # exactly.
     prefix = run_experiment(points[:2], src)
     assert [r.counts for r in prefix] == [r.counts for r in first[:2]]
     assert [r.tally for r in prefix] == [r.tally for r in first[:2]]
@@ -499,6 +507,44 @@ def test_run_experiment_rejects_non_finite_settings(bad):
     settings[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         run_experiment(settings, src)
+
+
+@pytest.mark.parametrize("routing", ROUTING_MODES)
+def test_row_view_matches_count_array(routing):
+    n_rows, n_bins = 1500, 20_000
+    settings = np.random.default_rng(3).uniform(-np.pi, np.pi, (n_rows, 4))
+    src = SourceParams(
+        mean_photon_number=0.2, n_time_bins=n_bins, rng_seed=17, routing=routing
+    )
+    sweep = run_experiment(settings, src)
+    counts = sweep.counts
+    assert counts.shape == (n_rows, 12) and counts.dtype == np.int64
+    assert (counts.sum(axis=1) == n_bins).all()
+    assert np.array_equal(sweep.fates, counts[:, :9])
+    with pytest.raises(ValueError):
+        counts[0, 0] = 1
+    assert len(sweep) == n_rows
+    rows = list(sweep)
+    assert len(rows) == n_rows
+    for i, row in enumerate(rows):
+        assert row.counts.fates == tuple(counts[i, :9].tolist())
+        assert row.tally.n_bins == n_bins
+        assert row.tally.n_pair_bins == counts[i, :10].sum()
+        assert row.tally.n_multi_bins == counts[i, 10]
+        assert row.tally.n_routing_rejected == counts[i, 9]
+        assert row.tally.n_post_selected == counts[i, :9].sum()
+        assert row.counts.n_post_selected_pairs == counts[i, :9].sum()
+    assert all(type(k) is int for k in rows[0].counts.fates)
+    if routing == "paired":
+        assert not counts[:, 9].any()
+    assert sweep[-1] == rows[-1]
+    assert sweep[-n_rows] == rows[0]
+    for index in (n_rows, -n_rows - 1):
+        with pytest.raises(IndexError):
+            sweep[index]
+    part = sweep[1000:1100]
+    assert isinstance(part, SweepCounts) and part.n_bins == n_bins
+    assert list(part) == rows[1000:1100]
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_mc_columns_and_alignment(tmp_path):
     settings, records = settings[:20], records[:20]
     src = SourceParams(mean_photon_number=0.2, n_time_bins=50_000, rng_seed=6)
     results = run_experiment(settings, src)
-    mc = estimate_columns(results, "analytic")
+    mc = estimate_columns(results.fates, "analytic")
     path = tmp_path / "mc.csv"
     emit_csv(settings, records, path, mc)
     with open(path, newline="") as handle:
@@ -221,7 +221,7 @@ def test_byte_determinism_mc(tmp_path):
     src = SourceParams(mean_photon_number=0.1, n_time_bins=100_000, rng_seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        mc = estimate_columns(run_experiment(settings, src), "analytic")
+        mc = estimate_columns(run_experiment(settings, src).fates, "analytic")
         emit_csv(settings, records, path, mc)
     assert a.read_bytes() == b.read_bytes()
 

@@ -16,4 +16,4 @@ def test_python_api_block_runs():
     assert abs(namespace["r_ad"][1] - math.sin(1.0) ** 2) < 1e-12
     r_hat, stderr = namespace["r_hat_ad"][1], namespace["stderr_ad"][1]
     assert abs(r_hat - math.sin(1.0) ** 2) <= 5.0 * stderr
-    assert namespace["n_pairs"][1] == namespace["counts"].n_post_selected_pairs
+    assert namespace["n_pairs"][1] == namespace["fates"][1].sum()
