@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
@@ -190,6 +191,10 @@ def _run_verify(config: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -197,17 +202,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        config = _load_config(args)
-        if config.mode == "verify":
-            return _run_verify(config)
-        return _run_sweep_mode(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # A warning reaches a CLI user as one line; the source line that raised
+    # it means nothing on the command line.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = _load_config(args)
+            if config.mode == "verify":
+                return _run_verify(config)
+            return _run_sweep_mode(config)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Field amplitudes are complex scalars or complex arrays (dimensionless
 units); every element broadcasts its amplitudes against its angles, so one
-call transforms a whole grid of settings.  A polarized spatial mode is a
-:class:`JonesVector` holding the two complex coefficients on the orthonormal
-H/V linear basis, so its intensity is ``|h|^2 + |v|^2`` and intensities add
-across orthogonal components.
+call transforms a whole grid of settings.  A polarized spatial mode is the
+pair ``(h, v)`` of its complex coefficients on the orthonormal H/V linear
+basis, passed and returned as two amplitudes, so its intensity is
+``|h|^2 + |v|^2`` and intensities add across orthogonal components.
 
 Phase conventions for the lossless elements are not forced by physics alone,
 so they are collected in :class:`ElementConventions` and fixed once as
@@ -51,17 +51,6 @@ class ElementConventions:
 DEFAULT_CONVENTIONS = ElementConventions()
 
 
-@dataclass(frozen=True)
-class JonesVector:
-    """Polarization state of one spatial mode on the H/V basis."""
-
-    h: complex
-    v: complex
-
-    def intensity(self) -> float:
-        return abs(self.h) ** 2 + abs(self.v) ** 2
-
-
 def beam_splitter_mix(
     in_upper: complex,
     in_lower: complex,
@@ -80,27 +69,29 @@ def beam_splitter_mix(
 
 
 def pbs_split(
-    field: JonesVector,
-    conv: ElementConventions = DEFAULT_CONVENTIONS,
+    h: complex, v: complex, conv: ElementConventions = DEFAULT_CONVENTIONS
 ) -> tuple[complex, complex]:
-    """Split a polarized mode: H transmits, V reflects with the PBS phase.
+    """Split the mode ``(h, v)``: H transmits, V reflects with the PBS phase.
 
     Returns the scalar amplitudes ``(path_h, path_v)`` of the two outgoing
     arms, which carry pure H and pure V polarization respectively.
     """
-    return field.h, conv.pbs_reflection_phase * field.v
+    return h, conv.pbs_reflection_phase * v
 
 
-def half_wave_plate(field: JonesVector, fast_axis_angle: float) -> JonesVector:
+def half_wave_plate(
+    h: complex, v: complex, fast_axis_angle: float
+) -> tuple[complex, complex]:
     """Half-wave plate with its fast axis at ``fast_axis_angle`` from H.
 
-    Jones matrix ``[[cos 2a, sin 2a], [sin 2a, -cos 2a]]``: linear
-    polarization at angle b maps to ``2a - b``.  Real and involutory, so the
-    same plate applied twice is the identity.
+    Returns the new ``(h, v)``.  Jones matrix
+    ``[[cos 2a, sin 2a], [sin 2a, -cos 2a]]``: linear polarization at angle b
+    maps to ``2a - b``.  Real and involutory, so the same plate applied twice
+    is the identity.
     """
     c = np.cos(2.0 * fast_axis_angle)
     s = np.sin(2.0 * fast_axis_angle)
-    return JonesVector(h=c * field.h + s * field.v, v=s * field.h - c * field.v)
+    return c * h + s * v, s * h - c * v
 
 
 def phase_shift(amplitude: complex, phi: float) -> complex:
@@ -116,11 +107,11 @@ def mirror_reflect(
     return amplitude * conv.mirror_phase
 
 
-def polarizer_project(field: JonesVector, zeta: float) -> complex:
-    """Project onto the linear polarization direction at angle ``zeta``.
+def polarizer_project(h: complex, v: complex, zeta: float) -> complex:
+    """Project ``(h, v)`` onto the linear polarization at angle ``zeta``.
 
     Positive ``zeta`` is counterclockwise from the horizontal axis; the
     projection amplitude is ``h cos(zeta) + v sin(zeta)``, so a negative
     angle flips the sign of the V contribution.
     """
-    return field.h * np.cos(zeta) + field.v * np.sin(zeta)
+    return h * np.cos(zeta) + v * np.sin(zeta)

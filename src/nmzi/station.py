@@ -35,10 +35,8 @@ import math
 import numpy as np
 
 from .elements import (
-    ALGEBRA_TOL,
     DEFAULT_CONVENTIONS,
     ElementConventions,
-    JonesVector,
     beam_splitter_mix,
     half_wave_plate,
     mirror_reflect,
@@ -92,9 +90,9 @@ def composed_station(
     """Build the station from its optical elements, step by step."""
     _require_finite(phi=phi, zeta=zeta, eta=eta, e0=e0)
     e_in = phase_shift(e0, eta)
-    prepared = half_wave_plate(JonesVector(h=0.0, v=e_in), HWP_PREPARATION_ANGLE)
+    prepared = half_wave_plate(0.0, e_in, HWP_PREPARATION_ANGLE)
 
-    arm_h, arm_v = pbs_split(prepared, conv)
+    arm_h, arm_v = pbs_split(*prepared, conv)
     arm_v = phase_shift(arm_v, phi)
     arm_h = mirror_reflect(arm_h, conv)
     arm_v = mirror_reflect(arm_v, conv)
@@ -103,15 +101,13 @@ def composed_station(
     # arm carries no V amplitude and vice versa.
     out1_h, out2_h = beam_splitter_mix(arm_h, 0.0, conv)
     out1_v, out2_v = beam_splitter_mix(0.0, arm_v, conv)
-    out1 = JonesVector(h=out1_h, v=out1_v)
-    out2 = JonesVector(h=out2_h, v=out2_v)
     return _amplitudes(
         out1_h,
         out1_v,
         out2_h,
         out2_v,
-        polarizer_project(out1, zeta),
-        polarizer_project(out2, zeta),
+        polarizer_project(out1_h, out1_v, zeta),
+        polarizer_project(out2_h, out2_v, zeta),
     )
 
 
@@ -119,31 +115,18 @@ def station_outputs_deviation(candidate, reference) -> np.ndarray:
     """Largest mismatch per setting after removing one shared global phase.
 
     ``candidate`` and ``reference`` hold six amplitudes on their last axis;
-    the result has one deviation per setting.  The phase is extracted from
-    the first reference component of appreciable magnitude; only relative
-    phases are observable, so a common factor is not a discrepancy.  The
-    deviation is relative to the largest reference amplitude (or absolute
-    for an all-zero reference) and includes any departure of the extracted
-    factor from unit modulus.
+    the result has one deviation per setting.  Only relative phases are
+    observable, so the candidate is compared with ``phase * reference``,
+    where ``phase`` is the unit phase of the overlap ``<reference|candidate>``
+    summed over the six amplitudes (1 where the overlap is 0).  The result is
+    ``max|candidate - phase * reference|`` over ``max(max|reference|, 1)``, so
+    a change of modulus shows too, and an all-zero reference measures the
+    candidate absolutely.
     """
-    candidate, reference = np.broadcast_arrays(candidate, reference)
-    magnitude = np.abs(reference)
-    scale = np.maximum(magnitude.max(axis=-1), 1.0)
-    appreciable = magnitude > ALGEBRA_TOL * scale[..., None]
-    found = appreciable.any(axis=-1)
-    first = appreciable.argmax(axis=-1)[..., None]
-    # A setting whose reference is all-zero keeps factor 1 against a zeroed
-    # reference, so its candidate is measured absolutely.
-    factor = np.divide(
-        np.take_along_axis(candidate, first, -1)[..., 0],
-        np.take_along_axis(reference, first, -1)[..., 0],
-        out=np.ones(found.shape, complex),
-        where=found,
-    )
-    modulus = np.abs(factor)
+    overlap = np.sum(np.conj(reference) * candidate, axis=-1)
+    modulus = np.abs(overlap)
     phase = np.divide(
-        factor, modulus, out=np.ones(found.shape, complex), where=modulus > 0.0
+        overlap, modulus, out=np.ones(overlap.shape, complex), where=modulus > 0.0
     )
-    reference = np.where(found[..., None], reference, 0.0)
-    mismatch = np.abs(candidate - phase[..., None] * reference).max(axis=-1) / scale
-    return np.maximum(np.abs(modulus - 1.0), mismatch)
+    scale = np.maximum(np.abs(reference).max(axis=-1), 1.0)
+    return np.abs(candidate - phase[..., None] * reference).max(axis=-1) / scale

@@ -164,6 +164,20 @@ def test_verify_detects_corrupted_conventions(capsys, monkeypatch):
     assert "1 of 11 checks FAILED" in out
 
 
+def test_photon_number_warning_is_one_stderr_line(tmp_path, capsys):
+    out = tmp_path / "bright.csv"
+    argv = ["montecarlo", "--sweep", "rho=0:1.6:0.8", "--mu", "0.6", "--bins", "20000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: mean photon number 0.6 is outside the strongly attenuated "
+        "regime (mu << 1); pair post-selection discards most bins\n"
+    )
+    assert len(out.read_text().splitlines()) == 4
+    # The Python API still warns as before once main has returned.
+    with pytest.warns(UserWarning, match="mean photon number 0.6"):
+        parse_config(None, {"mode": "montecarlo", "sweep.rho": "0:1:1", "mu": "0.6"})
+
+
 def test_out_dir_env_names_the_default_path(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NMZI_OUT_DIR", str(tmp_path))
     assert main(["analytic", "--preset", "fig3"]) == 0

@@ -4,12 +4,20 @@ fixed digest and not only run against run.
 The analytic digests pin the closed forms and the CSV format: they hold on
 any platform whose ``math.sin``/``math.cos`` round as this one's do.  The
 Monte Carlo digests also pin the sampler's draw order and numpy's bit
-generators and distribution algorithms.  A digest that moves means the output
-of that configuration changed; say why in CHANGES.md and re-pin.
+generators and distribution algorithms.  ``nmzi verify``'s stdout is pinned
+the same way, since its printed deviations carry the checks' results.  A
+digest that moves means the output of that configuration changed; say why in
+CHANGES.md and re-pin.
+
+Every pin here was taken under numpy 2.4.6 and Python 3.11.7.  NumPy may
+change a distribution algorithm between releases (NEP 19), so one multinomial
+draw is also pinned by value: if it fails beside the Monte Carlo digests, the
+cause is numpy, not this program.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from nmzi.cli import main
@@ -80,3 +88,32 @@ def test_montecarlo_fig4_binomial_digest(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert _digest(out) == FIG4_BINOMIAL_SHA256
+
+
+VERIFY_SHA256 = {
+    # Default source: mu 0.05, 10^6 bins, seed 0.
+    "default": "fd9f185522473ab771c3a212ef128f901754782b76383402930c23cb70ba5977",
+    "bins-20000": "75e03fc53e64ae7fdc49b96dbf8319383a94c7f41e7717d99ceaabf1a68767f8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_SHA256))
+def test_verify_stdout_digest(case, capsys):
+    argv = ["verify"] + (["--bins", "20000"] if case == "bins-20000" else [])
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_SHA256[case]
+
+
+def test_numpy_multinomial_known_answer():
+    # Two 12-class rows shaped like the sampler's: small fate masses, then a
+    # large remainder class last (row 0), and near-uniform classes (row 1).
+    pvals = np.array([
+        [0.002, 0.004, 0.006, 0.008, 0.010, 0.012, 0.014, 0.016, 0.018, 0.020, 0.030, 0.860],
+        [0.100, 0.100, 0.100, 0.100, 0.100, 0.100, 0.100, 0.100, 0.100, 0.050, 0.040, 0.010],
+    ])
+    rng = np.random.default_rng(np.random.SeedSequence(20220223, spawn_key=(0,)))
+    assert rng.multinomial(50000, pvals).tolist() == [
+        [92, 203, 342, 425, 479, 579, 703, 768, 973, 973, 1572, 42891],
+        [4918, 5093, 4914, 4930, 5012, 5130, 5008, 4987, 4995, 2534, 1967, 512],
+    ]

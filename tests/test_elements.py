@@ -12,7 +12,6 @@ from nmzi.elements import (
     ALGEBRA_TOL,
     DEFAULT_CONVENTIONS,
     ElementConventions,
-    JonesVector,
     beam_splitter_mix,
     half_wave_plate,
     mirror_reflect,
@@ -27,8 +26,8 @@ amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infini
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi)
 
 
-def jones(h, v):
-    return JonesVector(h=h, v=v)
+def intensity(h, v):
+    return abs(h) ** 2 + abs(v) ** 2
 
 
 # ---------------------------------------------------------------- beam splitter
@@ -71,67 +70,65 @@ def test_bs_unitary_for_any_reflection_phase(a, b, theta):
 # ------------------------------------------------------------------------- PBS
 
 def test_pbs_routes_h_to_transmission():
-    assert pbs_split(jones(1.0, 0.0), DEFAULT_CONVENTIONS) == (1.0, 0.0)
+    assert pbs_split(1.0, 0.0, DEFAULT_CONVENTIONS) == (1.0, 0.0)
 
 
 def test_pbs_routes_v_to_reflection():
-    path_h, path_v = pbs_split(jones(0.0, 1.0), DEFAULT_CONVENTIONS)
+    path_h, path_v = pbs_split(0.0, 1.0, DEFAULT_CONVENTIONS)
     assert path_h == 0.0
     assert path_v == DEFAULT_CONVENTIONS.pbs_reflection_phase
 
 
 def test_pbs_diagonal_input_splits_equally():
-    path_h, path_v = pbs_split(jones(INV_SQRT2, INV_SQRT2), DEFAULT_CONVENTIONS)
+    path_h, path_v = pbs_split(INV_SQRT2, INV_SQRT2, DEFAULT_CONVENTIONS)
     assert abs(abs(path_h) - INV_SQRT2) < ALGEBRA_TOL
     assert abs(abs(path_v) - INV_SQRT2) < ALGEBRA_TOL
 
 
 @given(amplitudes, amplitudes)
 def test_pbs_lossless(h, v):
-    j = jones(h, v)
-    path_h, path_v = pbs_split(j, DEFAULT_CONVENTIONS)
-    assert abs(abs(path_h) ** 2 + abs(path_v) ** 2 - j.intensity()) <= ALGEBRA_TOL * max(
-        1.0, j.intensity()
+    path_h, path_v = pbs_split(h, v, DEFAULT_CONVENTIONS)
+    assert abs(intensity(path_h, path_v) - intensity(h, v)) <= ALGEBRA_TOL * max(
+        1.0, intensity(h, v)
     )
 
 
 # ------------------------------------------------------------------------- HWP
 
 def test_hwp_at_45_deg_swaps_h_and_v():
-    out = half_wave_plate(jones(1.0, 0.0), math.pi / 4)
-    assert abs(out.h) < ALGEBRA_TOL
-    assert abs(out.v - 1.0) < ALGEBRA_TOL
+    out_h, out_v = half_wave_plate(1.0, 0.0, math.pi / 4)
+    assert abs(out_h) < ALGEBRA_TOL
+    assert abs(out_v - 1.0) < ALGEBRA_TOL
 
 
 def test_hwp_prepares_diagonal_from_vertical():
     # HWP matrix at fast axis 3pi/8 applied to (0, 1) by hand:
     # (sin(3pi/4), -cos(3pi/4)) = (1/sqrt2, 1/sqrt2).
-    out = half_wave_plate(jones(0.0, 1.0), 3 * math.pi / 8)
-    assert abs(out.h - INV_SQRT2) < ALGEBRA_TOL
-    assert abs(out.v - INV_SQRT2) < ALGEBRA_TOL
+    out_h, out_v = half_wave_plate(0.0, 1.0, 3 * math.pi / 8)
+    assert abs(out_h - INV_SQRT2) < ALGEBRA_TOL
+    assert abs(out_v - INV_SQRT2) < ALGEBRA_TOL
 
 
 @given(amplitudes, amplitudes)
 def test_hwp_at_zero_negates_v(h, v):
-    out = half_wave_plate(jones(h, v), 0.0)
-    assert out.h == h
-    assert out.v == -v
+    out_h, out_v = half_wave_plate(h, v, 0.0)
+    assert out_h == h
+    assert out_v == -v
 
 
 @given(amplitudes, amplitudes, angles)
 def test_hwp_preserves_intensity(h, v, alpha):
-    j = jones(h, v)
-    out = half_wave_plate(j, alpha)
-    assert abs(out.intensity() - j.intensity()) <= ALGEBRA_TOL * max(1.0, j.intensity())
+    before = intensity(h, v)
+    after = intensity(*half_wave_plate(h, v, alpha))
+    assert abs(after - before) <= ALGEBRA_TOL * max(1.0, before)
 
 
 @given(amplitudes, amplitudes, angles)
 def test_hwp_twice_is_identity(h, v, alpha):
-    j = jones(h, v)
-    out = half_wave_plate(half_wave_plate(j, alpha), alpha)
+    out_h, out_v = half_wave_plate(*half_wave_plate(h, v, alpha), alpha)
     scale = max(1.0, abs(h), abs(v))
-    assert abs(out.h - h) <= ALGEBRA_TOL * scale
-    assert abs(out.v - v) <= ALGEBRA_TOL * scale
+    assert abs(out_h - h) <= ALGEBRA_TOL * scale
+    assert abs(out_v - v) <= ALGEBRA_TOL * scale
 
 
 # ----------------------------------------------------------------- phase shift
@@ -157,29 +154,28 @@ def test_phase_shift_preserves_magnitude(a, phi):
 
 @given(angles)
 def test_polarizer_on_pure_h_is_cosine(zeta):
-    out = polarizer_project(jones(1.0, 0.0), zeta)
+    out = polarizer_project(1.0, 0.0, zeta)
     assert abs(out - math.cos(zeta)) < ALGEBRA_TOL
 
 
 def test_polarizer_passes_aligned_v():
-    assert abs(polarizer_project(jones(0.0, 1.0), math.pi / 2) - 1.0) < ALGEBRA_TOL
+    assert abs(polarizer_project(0.0, 1.0, math.pi / 2) - 1.0) < ALGEBRA_TOL
 
 
 def test_polarizer_negative_angle_flips_v_sign():
-    out = polarizer_project(jones(0.0, 1.0), -math.pi / 4)
+    out = polarizer_project(0.0, 1.0, -math.pi / 4)
     assert abs(out - (-INV_SQRT2)) < ALGEBRA_TOL
 
 
 @given(amplitudes, amplitudes, angles)
 def test_polarizer_contracts_intensity(h, v, zeta):
-    j = jones(h, v)
-    out = polarizer_project(j, zeta)
-    assert abs(out) ** 2 <= j.intensity() + ALGEBRA_TOL * max(1.0, j.intensity())
+    out = polarizer_project(h, v, zeta)
+    assert abs(out) ** 2 <= intensity(h, v) + ALGEBRA_TOL * max(1.0, intensity(h, v))
 
 
 @given(angles)
 def test_malus_law_for_pure_h(zeta):
-    out = polarizer_project(jones(1.0, 0.0), zeta)
+    out = polarizer_project(1.0, 0.0, zeta)
     assert abs(abs(out) ** 2 - math.cos(zeta) ** 2) < ALGEBRA_TOL
 
 
@@ -188,16 +184,13 @@ def test_malus_law_for_pure_h(zeta):
 def every_element(h, v, angle):
     """The outputs of all six element functions for one set of inputs."""
     conv = ElementConventions(bs_reflection_phase=cmath.exp(0.3j), mirror_phase=-1j)
-    field = jones(h, v)
-    plate = half_wave_plate(field, angle)
     return [
         *beam_splitter_mix(h, v, conv),
-        *pbs_split(field, conv),
-        plate.h,
-        plate.v,
+        *pbs_split(h, v, conv),
+        *half_wave_plate(h, v, angle),
         phase_shift(h, angle),
         mirror_reflect(h, conv),
-        polarizer_project(field, angle),
+        polarizer_project(h, v, angle),
     ]
 
 

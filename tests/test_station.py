@@ -143,8 +143,32 @@ def test_deviation_of_a_batch_equals_its_single_settings():
         assert batch.shape == (5,)
         singles = [station_outputs_deviation(c, r) for c, r in zip(candidate, closed)]
         assert batch.tolist() == singles
-    assert station_outputs_deviation(candidates["zero"], closed)[3] == 1.0
+    # The zeroed row has no overlap, so it reads the reference's largest
+    # amplitude (0.345 at e0 = 0.5) against a scale of 1.
+    zeroed = station_outputs_deviation(candidates["zero"], closed)[3]
+    assert zeroed == np.abs(closed[3]).max()
+    assert round(zeroed, 3) == 0.345
     assert station_outputs_deviation(candidates["corrupted"], closed).max() > 0.1
+
+
+six_amplitudes = st.lists(amplitudes, min_size=6, max_size=6).map(
+    lambda values: np.array(values, dtype=complex)
+)
+moduli = st.floats(min_value=0.01, max_value=100.0)
+
+
+@given(six_amplitudes, six_amplitudes, angles, moduli)
+def test_deviation_is_the_overlap_phase_rule(reference, candidate, alpha, k):
+    phase = cmath.exp(1j * alpha)
+    peak = np.abs(reference).max()
+    scale = max(peak, 1.0)
+    assert station_outputs_deviation(phase * reference, reference) <= ALGEBRA_TOL
+    # A modulus change is a mismatch, at its full size.
+    deviation = station_outputs_deviation(k * phase * reference, reference)
+    assert abs(deviation - abs(k - 1.0) * peak / scale) <= ALGEBRA_TOL * k
+    # An all-zero reference measures the candidate absolutely.
+    zero = np.zeros(6, complex)
+    assert station_outputs_deviation(candidate, zero) == np.abs(candidate).max()
 
 
 def test_station_params_reject_non_finite():
