@@ -164,6 +164,10 @@ def _resolve_out_path(config: RunConfig) -> str:
 
 
 def _run_sweep_mode(config: RunConfig) -> int:
+    out_path = _resolve_out_path(config)
+    stem, extension = os.path.splitext(out_path)
+    if config.gnuplot and extension.lower() == ".gp":
+        raise ConfigError(f"config key 'out': the gnuplot script would overwrite {out_path}")
     spec = build_sweep_spec(config)
     settings = sweep_settings(spec)
     records = record_at(settings)
@@ -172,11 +176,10 @@ def _run_sweep_mode(config: RunConfig) -> int:
         mc_columns = estimate_columns(
             run_experiment(settings, config.source).fates, config.normalization
         )
-    out_path = _resolve_out_path(config)
     emit_csv(settings, records, out_path, mc_columns)
     written = [out_path]
     if config.gnuplot:
-        script_path = os.path.splitext(out_path)[0] + ".gp"
+        script_path = stem + ".gp"
         axis_names = [axis.name for axis in spec.axes]
         emit_gnuplot(out_path, script_path, axis_names, mc_columns is not None)
         written.append(script_path)

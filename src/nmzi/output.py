@@ -140,6 +140,8 @@ def gnuplot_script(
     if not axis_names or len(axis_names) > 2:
         raise ValueError("gnuplot output supports one or two sweep axes")
     columns = [_AXIS_COLUMN[name] for name in axis_names]
+    # gnuplot reads '' as one quote inside a single-quoted string.
+    csv_path = csv_path.replace("'", "''")
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",

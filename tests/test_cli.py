@@ -126,6 +126,10 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
         (["analytic", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
         (["montecarlo", "--gnuplot", *THREE_AXES], "config error: config key 'gnuplot'"),
         (["verify", "--skip-montecarlo"], "usage error"),
+        (
+            ["analytic", "--preset", "fig2", "--gnuplot", "--out", "scan.GP"],
+            "config error: config key 'out'",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):

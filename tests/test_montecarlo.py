@@ -3,12 +3,13 @@ sampling, tally bookkeeping, and convergence of correlation estimates to the
 closed forms.  ``test_sampler_reference.py`` compares the sampler with a
 bin-by-bin reference.
 
-Statistical checks use fixed seeds and 4-sigma (single draw) or ensemble
+Statistical checks use fixed seeds and 4-sigma (single draw) or exact binomial
 (many seeds) criteria, so they are deterministic in practice.
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -551,20 +552,61 @@ def test_row_view_matches_count_array(routing):
 # Statistical convergence across seeds
 
 
-def test_convergence_ensemble_is_standard_normal():
-    rho = 1.0
+def exact_binomial_band(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The band [lo, hi] of Binomial(n, p) whose two tails each hold <= alpha/2.
+
+    The mass is summed from log-space terms: ``comb(n, k) * p**k`` overflows
+    a float beyond ~1000 trials.
+    """
+    log_pmf = np.array([
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(n + 1)
+    ])
+    pmf = np.exp(log_pmf)
+    at_most = np.cumsum(pmf)  # P(K <= k)
+    at_least = np.cumsum(pmf[::-1])[::-1]  # P(K >= k)
+    lo = int(np.flatnonzero(at_most > alpha / 2.0)[0])
+    hi = int(np.flatnonzero(at_least > alpha / 2.0)[-1])
+    return lo, hi
+
+
+def test_exact_binomial_band_bounds_its_tails():
+    # Small enough to sum exactly with Fractions.
+    n, p, alpha = 40, 0.9, 1e-3
+    lo, hi = exact_binomial_band(n, p, alpha)
+    pmf = [math.comb(n, k) * Fraction(p) ** k * (1 - Fraction(p)) ** (n - k)
+           for k in range(n + 1)]
+    assert sum(pmf[:lo]) <= alpha / 2 < sum(pmf[:lo + 1])
+    assert sum(pmf[hi + 1:]) <= alpha / 2 < sum(pmf[hi:])
+
+
+def test_two_sigma_coverage_over_seeds_is_nominal():
+    # The reported 2-sigma bar must cover the closed form on P(|Z| <= 2) of
+    # the seeds, within an exact binomial band at a 1e-6 false alarm.  This
+    # bright point counts ~218 AD coincidences per seed; a Wald bar
+    # under-covers at small counts (Brown, Cai & DasGupta 2001), so dim and
+    # dark points are not gated here.
+    rho, n_seeds = 1.0, 2000
     truth = math.sin(rho) ** 2
     point = synchronized_settings(rho, QUARTER_TURN)
-    z_values = []
-    for seed in range(30):
+    rows = []
+    for seed in range(n_seeds):
         src = SourceParams(
             mean_photon_number=0.2, n_time_bins=300_000, rng_seed=seed
         )
-        value, std_error = estimate_ad(run_experiment(point, src)[0])
-        z_values.append((value - truth) / std_error)
-    within = sum(1 for z in z_values if abs(z) <= 2.0)
-    assert within >= 0.9 * len(z_values)
-    assert all(abs(z) < 5.0 for z in z_values)
+        columns = estimate_columns(run_experiment(point, src).fates, "analytic")
+        rows.append([column[0] for column in columns])
+    r_hat, std_error, _, _, n_pairs = np.array(rows).T
+    covered = int(np.sum(np.abs(r_hat - truth) <= 2.0 * std_error))
+    lo, hi = exact_binomial_band(n_seeds, math.erf(math.sqrt(2.0)), 1e-6)
+    assert lo <= covered <= hi
+    # z in the closed form's own standard error at each seed's pair count:
+    # the coincidence probability is R / 16.
+    p = truth / 16.0
+    z = (r_hat - truth) / (16.0 * np.sqrt(p * (1.0 - p) / n_pairs))
+    assert abs(np.std(z) - 1.0) <= 0.1
+    assert np.abs(z).max() < 5.0
 
 
 def test_std_error_scales_as_inverse_sqrt_pairs():

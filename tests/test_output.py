@@ -289,18 +289,38 @@ def test_rewrite_replaces_existing_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
+FIG2_MC_SCRIPT = (
+    "set datafile separator ','\n"
+    "set key autotitle columnhead\n"
+    "set xlabel 'rho (rad)'\n"
+    "set ylabel 'coincidence correlation'\n"
+    "plot 'fig2.csv' using 1:9 with lines title 'R_AD', "
+    "'fig2.csv' using 1:12:13 with yerrorbars title 'R_AD (MC)'\n"
+)
+
+FIG3_SCRIPT = (
+    "set datafile separator ','\n"
+    "set key autotitle columnhead\n"
+    "set xlabel 'phi (rad)'\n"
+    "set ylabel 'psi (rad)'\n"
+    "set view map\n"
+    "splot 'fig3.csv' using 1:2:9 with pm3d title 'R_AD'\n"
+)
+
+
 def test_gnuplot_script_single_axis(tmp_path):
-    script = gnuplot_script("fig2.csv", ["rho"], with_mc=True)
-    assert "plot 'fig2.csv' using 1:9" in script
-    assert "using 1:12:13 with yerrorbars" in script
-    assert script.endswith("\n")
+    assert gnuplot_script("fig2.csv", ["rho"], with_mc=True) == FIG2_MC_SCRIPT
+    # A quote in the path is doubled, as gnuplot's single-quoted strings need.
+    assert gnuplot_script("it's.csv", ["rho"], with_mc=True) == FIG2_MC_SCRIPT.replace(
+        "'fig2.csv'", "'it''s.csv'"
+    )
     # without MC there are no error bars
     assert "yerrorbars" not in gnuplot_script("fig2.csv", ["rho"], with_mc=False)
 
 
 def test_gnuplot_script_two_axes_and_errors(tmp_path):
     script = gnuplot_script("fig3.csv", ["phi", "psi"], with_mc=False)
-    assert "splot 'fig3.csv' using 1:2:9" in script
+    assert script == FIG3_SCRIPT
     with pytest.raises(ValueError):
         gnuplot_script("x.csv", [], with_mc=False)
     with pytest.raises(ValueError):
