@@ -124,9 +124,8 @@ def station_outputs_deviation(candidate, reference) -> np.ndarray:
     candidate absolutely.
     """
     overlap = np.sum(np.conj(reference) * candidate, axis=-1)
-    modulus = np.abs(overlap)
-    phase = np.divide(
-        overlap, modulus, out=np.ones(overlap.shape, complex), where=modulus > 0.0
-    )
+    # The phase comes from the overlap's angle, not overlap / |overlap|: a
+    # subnormal overlap (amplitudes near 1e-158) overflows that quotient.
+    phase = np.where(overlap != 0.0, np.exp(1j * np.angle(overlap)), 1.0)
     scale = np.maximum(np.abs(reference).max(axis=-1), 1.0)
     return np.abs(candidate - phase[..., None] * reference).max(axis=-1) / scale
