@@ -34,7 +34,6 @@ from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
 from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
-from .verify import run_verification
 
 OUT_DIR_ENV = "NMZI_OUT_DIR"
 
@@ -185,6 +184,17 @@ def _run_sweep_mode(config: RunConfig) -> int:
         written.append(script_path)
     print(f"wrote {len(records)} grid points to {', '.join(written)}")
     return EXIT_OK
+
+
+def run_verification(*args, **kwargs):
+    """:func:`nmzi.verify.run_verification`, imported on first call.
+
+    Only ``nmzi verify`` loads the Jones model (``verify``, ``station`` and
+    ``elements``); the sweep modes never import it.
+    """
+    from .verify import run_verification as run
+
+    return run(*args, **kwargs)
 
 
 def _run_verify(config: RunConfig) -> int:

@@ -17,11 +17,14 @@ output, ``normalization`` and ``angles`` keys under ``verify``, whose Monte
 Carlo checks read the source keys.  A grid may have at most
 ``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
 larger grid is rejected before any point is built, as is ``gnuplot = true``
-with more than two sweep axes.  ``#`` starts a comment; blank lines are
+with more than two sweep axes.  A ``#`` at the start of a line or after
+whitespace starts a comment that runs to the end of the line; any other
+``#`` is part of the value (``out = runs/a#1.csv``).  Blank lines are
 ignored.  Later occurrences of a key are rejected rather than silently
 shadowed.  CLI flags arrive here as an override mapping in the same grammar,
 keyed by each flag's argparse ``dest``, and take precedence over file
-values.
+values; file and override values alike are stripped of surrounding
+whitespace, and an empty one is refused.
 
 ``angles = degrees`` is a parse directive: it converts every angle-valued
 entry to radians while parsing and is not stored -- a parsed RunConfig is
@@ -31,9 +34,10 @@ always in radians, and its canonical text form is too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from typing import Mapping
 
+from . import _Record
 from .correlation import PRESETS, SWEEP_PARAMS, SweepAxis, SweepSpec
 from .montecarlo import NORMALIZATIONS, SourceParams
 
@@ -72,8 +76,7 @@ class ConfigError(ValueError):
     """A configuration problem the user can fix; the message names the key."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """A fully validated run request, all angles in radians."""
 
     mode: str
@@ -106,8 +109,14 @@ class RunConfig:
 
 
 def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+    """``line`` up to its first ``#`` at the start or after whitespace."""
+    return re.split(r"(?<!\S)#", line, maxsplit=1)[0]
+
+
+def _entry_value(key: str, value: str) -> str:
+    if not value.strip():
+        raise ConfigError(f"config key {key!r} has an empty value")
+    return value.strip()
 
 
 def _validate_key(key: str) -> None:
@@ -138,13 +147,10 @@ def _parse_lines(text: str) -> dict:
             )
         key, _, value = body.partition("=")
         key = key.strip()
-        value = value.strip()
         _validate_key(key)
         if key in raw:
             raise ConfigError(f"duplicate config key {key!r} (line {lineno})")
-        if not value:
-            raise ConfigError(f"config key {key!r} has an empty value")
-        raw[key] = value
+        raw[key] = _entry_value(key, value)
     return raw
 
 
@@ -186,7 +192,7 @@ def parse_config(
     raw = _parse_lines(text) if text else {}
     for key, value in (overrides or {}).items():
         _validate_key(key)
-        raw[key] = value
+        raw[key] = _entry_value(key, value)
 
     mode = raw.pop("mode", None)
     if mode is None:
@@ -265,29 +271,35 @@ def canonical_config_text(config: RunConfig) -> str:
     """Emit a config in canonical form: radians, ``repr`` floats, fixed order.
 
     Parsing the result reproduces ``config`` exactly, including float bits.
+    A value that one config line cannot carry -- empty, spanning lines,
+    with leading or trailing whitespace, or with a ``#`` at its start or
+    after whitespace -- raises ``ValueError`` naming its key.
     """
-    lines = [f"mode = {config.mode}"]
+    entries = [("mode", config.mode)]
     if config.preset is not None:
-        lines.append(f"preset = {config.preset}")
+        entries.append(("preset", config.preset))
     for axis in config.sweep_axes:
-        lines.append(
-            f"sweep.{axis.name} = {axis.start!r}:{axis.stop!r}:{axis.step!r}"
+        entries.append(
+            (f"sweep.{axis.name}", f"{axis.start!r}:{axis.stop!r}:{axis.step!r}")
         )
     for name, value in config.fixed:
-        lines.append(f"fix.{name} = {value!r}")
+        entries.append((f"fix.{name}", repr(value)))
     if config.source is not None:
         src = config.source
-        lines.append(f"mu = {src.mean_photon_number!r}")
-        lines.append(f"bins = {src.n_time_bins}")
-        lines.append(f"seed = {src.rng_seed}")
-        lines.append(f"routing = {src.routing}")
+        entries.append(("mu", repr(src.mean_photon_number)))
+        entries.append(("bins", str(src.n_time_bins)))
+        entries.append(("seed", str(src.rng_seed)))
+        entries.append(("routing", src.routing))
     if config.mode == "montecarlo":
-        lines.append(f"normalization = {config.normalization}")
+        entries.append(("normalization", config.normalization))
     if config.out_path is not None:
-        lines.append(f"out = {config.out_path}")
+        entries.append(("out", config.out_path))
     if config.gnuplot:
-        lines.append("gnuplot = true")
-    return "\n".join(lines) + "\n"
+        entries.append(("gnuplot", "true"))
+    for key, value in entries:
+        if value.splitlines() != [value] or _strip_comment(value).strip() != value:
+            raise ValueError(f"config key {key!r}: {value!r} cannot be written on a config line")
+    return "".join(f"{key} = {value}\n" for key, value in entries)
 
 
 def build_sweep_spec(config: RunConfig) -> SweepSpec:

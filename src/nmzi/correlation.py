@@ -24,10 +24,12 @@ scan, a two-phase map, and a phase-versus-polarizer map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+from . import _Record
 
 QUARTER_TURN = math.pi / 4
 
@@ -78,8 +80,7 @@ def record_at(settings: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------- grid sweeps
 
-@dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Record):
     """One swept parameter on a uniform grid [start, stop] with given step."""
 
     name: str
@@ -115,8 +116,7 @@ class SweepAxis:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """Axes to sweep (row-major in declared order) plus fixed parameter values.
 
     Every parameter may be set once, by an axis or a fixed value; an alias
@@ -124,7 +124,8 @@ class SweepSpec:
     """
 
     axes: tuple[SweepAxis, ...]
-    fixed: Mapping[str, float] = field(default_factory=dict)
+    # Read-only, so no two specs share a mutable default.
+    fixed: Mapping[str, float] = MappingProxyType({})
 
     def __post_init__(self) -> None:
         if not self.axes:

@@ -19,9 +19,10 @@ intended interferometer transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _Record
 
 # Default tolerance for algebraic identities (unitarity, losslessness, ...).
 ALGEBRA_TOL = 1e-12
@@ -34,8 +35,7 @@ def _require_unit_modulus(name: str, value: complex) -> None:
         raise ValueError(f"{name} must have unit magnitude, got |{value!r}| = {abs(value)}")
 
 
-@dataclass(frozen=True)
-class ElementConventions:
+class ElementConventions(_Record):
     """Unit phase factors picked up on reflection at each element kind."""
 
     bs_reflection_phase: complex = 1j

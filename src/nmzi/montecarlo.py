@@ -67,10 +67,10 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .correlation import fringe_factors
 
 DETECTORS = ("A", "B", "C", "D")
@@ -100,8 +100,7 @@ _MULTI_SERIES_BELOW = 0.01
 _BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(_Record):
     """Attenuated-laser source and sampling-run parameters.
 
     ``mean_photon_number`` is the Poisson mean per time bin.  The model is
@@ -135,13 +134,12 @@ class SourceParams:
             warnings.warn(
                 f"mean photon number {mu} is outside the strongly attenuated "
                 "regime (mu << 1); pair post-selection discards most bins",
-                # Past __post_init__ and the generated __init__: the caller.
+                # Past __post_init__ and the record's __init__: the caller.
                 stacklevel=3,
             )
 
 
-@dataclass(frozen=True)
-class SamplingTally:
+class SamplingTally(_Record):
     """Bin-level bookkeeping of the source sampling."""
 
     n_bins: int
@@ -154,8 +152,7 @@ class SamplingTally:
         return self.n_pair_bins - self.n_routing_rejected
 
 
-@dataclass(frozen=True)
-class CoincidenceCounts:
+class CoincidenceCounts(_Record):
     """The post-selected pairs, counted by joint fate.
 
     ``fates`` holds one count per entry of ``FATES``, in that order.  Every
@@ -179,8 +176,7 @@ class CoincidenceCounts:
         return {"AC": a_c, "AD": a_d, "BC": b_c, "BD": b_d}
 
 
-@dataclass(frozen=True)
-class McPointResult:
+class McPointResult(_Record):
     """One row of a :class:`SweepCounts`, as Python objects."""
 
     counts: CoincidenceCounts
@@ -194,8 +190,7 @@ def detector_singles(fates: Sequence[int]) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class SweepCounts(Sequence):
+class SweepCounts(_Record, Sequence):
     """A sampled sweep: the ``(N, 12)`` int64 count array and its bins per point.
 
     ``counts`` has one row per sweep point, in the column order of the module
@@ -206,6 +201,10 @@ class SweepCounts(Sequence):
 
     counts: np.ndarray
     n_bins: int
+
+    # Identity equality: an array comparison has no single truth value.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def fates(self) -> np.ndarray:

@@ -24,10 +24,10 @@ the composed-versus-closed-form check must then fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .correlation import (
     QUARTER_TURN,
     fringe_factors,
@@ -48,8 +48,7 @@ from .station import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One verified invariant: its worst observed deviation vs the bound."""
 
     name: str
@@ -68,8 +67,7 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     checks: tuple[CheckResult, ...]
 
     @property

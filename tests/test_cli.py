@@ -130,6 +130,14 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             ["analytic", "--preset", "fig2", "--gnuplot", "--out", "scan.GP"],
             "config error: config key 'out'",
         ),
+        (
+            ["analytic", "--preset", "fig2", "--out", ""],
+            "config error: config key 'out' has an empty value",
+        ),
+        (
+            ["analytic", "--preset", "fig2", "--out", "   "],
+            "config error: config key 'out' has an empty value",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):

@@ -218,10 +218,25 @@ def test_axis_declaration_order_preserved():
             "mode = analytic\nangles = degrees\nsweep.rho = 0:360:1.8\n"
             "fix.zeta = 45\n"
         ),
+        RunConfig(mode="analytic", preset="fig2", out_path="runs/a#1.csv"),
     ],
 )
 def test_canonical_text_round_trips(config):
     assert parse_config(canonical_config_text(config)) == config
+
+
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    config = parse_config(
+        "# a comment line\nmode = analytic\npreset = fig2\nout = runs/a#1.csv\t# note\n"
+    )
+    assert config.out_path == "runs/a#1.csv"
+
+
+@pytest.mark.parametrize("out_path", ["", "a\nb.csv", " a.csv", "a.csv\t", "a #1.csv", "#a.csv"])
+def test_canonical_text_refuses_values_a_line_cannot_carry(out_path):
+    config = RunConfig(mode="analytic", preset="fig2", out_path=out_path)
+    with pytest.raises(ValueError, match="config key 'out'"):
+        canonical_config_text(config)
 
 
 def test_run_config_rejects_bad_fields():

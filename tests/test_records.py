@@ -1,0 +1,108 @@
+"""The package's records and the import budget of the sweep path.
+
+Every record class derives from ``nmzi._Record``: fields by position or
+keyword, immutability, field equality within one class, and a repr that
+names the class.  ``import nmzi.cli`` must load neither the Jones model
+(``verify``, ``station``, ``elements``) nor any dataclass.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nmzi.config import RunConfig
+from nmzi.correlation import SweepAxis, SweepSpec
+from nmzi.elements import ElementConventions
+from nmzi.montecarlo import (
+    CoincidenceCounts,
+    McPointResult,
+    SamplingTally,
+    SourceParams,
+    SweepCounts,
+)
+from nmzi.verify import CheckResult, VerificationReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+AXIS = SweepAxis("phi", 0.0, 1.0, 0.5)
+TALLY = SamplingTally(100, 7, 1, 0)
+FATES = (1, 2, 0, 0, 1, 0, 1, 0, 2)
+
+# One builder per record class: each call makes a new record of equal fields.
+RECORDS = {
+    "RunConfig": lambda: RunConfig("analytic", preset="fig2", out_path="a.csv"),
+    "SweepAxis": lambda: SweepAxis("phi", 0.0, 1.0, 0.5),
+    "SweepSpec": lambda: SweepSpec((AXIS,), {"psi": 0.3}),
+    "SourceParams": lambda: SourceParams(0.05, 1000, rng_seed=3),
+    "SamplingTally": lambda: SamplingTally(100, 7, 1, 0),
+    "CoincidenceCounts": lambda: CoincidenceCounts(FATES),
+    "McPointResult": lambda: McPointResult(CoincidenceCounts(FATES), TALLY),
+    "SweepCounts": lambda: SweepCounts(np.zeros((2, 12), dtype=np.int64), 100),
+    "ElementConventions": lambda: ElementConventions(mirror_phase=-1.0),
+    "CheckResult": lambda: CheckResult("check", 0.0, 1e-12),
+    "VerificationReport": lambda: VerificationReport((CheckResult("check", 0.0, 1e-12),)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_field_records(name):
+    first, second = RECORDS[name](), RECORDS[name]()
+    field = type(first)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(first, field, getattr(second, field))
+    with pytest.raises(AttributeError):
+        delattr(first, field)
+    assert repr(first).startswith(f"{name}(")
+    if name == "SweepCounts":
+        # Identity equality: its count array has no single truth value.
+        assert first == first and first != second
+    else:
+        assert first == second
+
+
+def test_record_fields_hash_and_defaults():
+    config = RunConfig("analytic", preset="fig2", out_path="a.csv")
+    same = RunConfig(mode="analytic", out_path="a.csv", preset="fig2")
+    assert config == same and hash(config) == hash(same)
+    assert config != RunConfig("analytic", preset="fig3", out_path="a.csv")
+    assert RunConfig._fields[:2] == ("mode", "preset")
+    assert (config.normalization, config.gnuplot) == ("analytic", False)
+    # Records of different classes never compare equal.
+    assert SamplingTally(1, 0, 0, 0) != (1, 0, 0, 0)
+    for bad in ({}, {"mode": "analytic", "colour": "red"}):
+        with pytest.raises(TypeError):
+            RunConfig(**bad)
+    with pytest.raises(TypeError):
+        RunConfig("analytic", mode="analytic")
+    with pytest.raises(TypeError):
+        SamplingTally(1, 2, 3, 4, 5)
+    # The default mapping is read-only, so specs cannot share a mutation.
+    with pytest.raises(TypeError):
+        SweepSpec((AXIS,)).fixed["psi"] = 1.0
+
+
+def test_sweep_path_import_loads_no_jones_model_and_no_dataclass():
+    probe = (
+        "import json, sys\n"
+        "import nmzi.cli\n"
+        "modules = [m for m in sys.modules if m == 'nmzi' or m.startswith('nmzi.')]\n"
+        "generated = [f'{m}.{name}' for m in modules\n"
+        "             for name, obj in vars(sys.modules[m]).items()\n"
+        "             if isinstance(obj, type) and hasattr(obj, '__dataclass_fields__')]\n"
+        "print(json.dumps({'modules': modules, 'generated': generated}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "nmzi.cli" in loaded["modules"]
+    for heavy in ("nmzi.verify", "nmzi.station", "nmzi.elements"):
+        assert heavy not in loaded["modules"]
+    assert loaded["generated"] == []
