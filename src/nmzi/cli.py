@@ -12,10 +12,12 @@ seeded from a ``--config`` file (flags win).  Each flag's argparse ``dest``
 is the config key it sets (``--degrees`` sets ``angles = degrees``,
 ``--gnuplot`` sets ``gnuplot = true``); ``--sweep P=...`` and ``--fix P=...``
 set ``sweep.P`` and ``fix.P``, and naming one parameter twice is refused.
-Only ``--config`` steers the CLI itself.  Angle values are converted on the
-way in; everything is stored and written in radians.  ``verify`` always
-runs its Monte Carlo checks, on the source that ``--mu``, ``--bins``,
-``--seed`` and ``--routing`` describe.
+Any other flag may be given once, as a key may appear once in a config
+file.  A subcommand takes the flags of the keys its mode reads
+(``config.KEY_MODES``).  Only ``--config`` steers the CLI itself.  Angle
+values are converted on the way in; everything is stored and written in
+radians.  ``verify`` always runs its Monte Carlo checks, on the source that
+``--mu``, ``--bins``, ``--seed`` and ``--routing`` describe.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure.  ``NMZI_OUT_DIR`` names the default output directory when ``--out``
@@ -30,7 +32,7 @@ import sys
 import warnings
 from typing import Sequence
 
-from .config import ConfigError, RunConfig, build_sweep_spec, parse_config
+from .config import KEY_MODES, PARAM_KEYS, ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
 from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
@@ -53,6 +55,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Once(argparse.Action):
+    # A flag sets its config key once, as a key may appear once in a file.
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values if self.const is None else self.const)
+
+
+# Each config key's flag spelling and argparse options; the flag's ``dest``
+# is the key.  A subcommand gets the flags of the keys its mode reads
+# (``KEY_MODES``), in this order.
+_FLAGS = {
+    "preset": ("--preset", dict(help="named sweep: fig2, fig3, or fig4")),
+    "sweep": ("--sweep", dict(action="append", metavar="PARAM=START:STOP:STEP",
+                              help="sweep axis; repeatable, row-major in the order given")),
+    "fix": ("--fix", dict(action="append", metavar="PARAM=VALUE",
+                          help="hold a parameter fixed; repeatable")),
+    "out": ("--out", dict(help="output CSV path")),
+    "angles": ("--degrees", dict(nargs=0, const="degrees",
+                                 help="interpret angle values (sweep/fix) as degrees")),
+    "gnuplot": ("--gnuplot", dict(nargs=0, const="true",
+                                  help="also write a gnuplot script next to the CSV")),
+    "mu": ("--mu", dict(help="mean photon number per time bin")),
+    "bins": ("--bins", dict(help="number of time bins")),
+    "seed": ("--seed", dict(help="run seed (unsigned 64-bit)")),
+    "routing": ("--routing", dict(help="pair routing: paired or binomial")),
+    "normalization": ("--normalization", dict(choices=NORMALIZATIONS,
+                                              help="coincidence normalization (default analytic)")),
+}
+
+_MODE_HELP = {
+    "analytic": "closed-form sweep to CSV",
+    "montecarlo": "photon-counting sweep to CSV",
+    "verify": "run the invariant checks",
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="nmzi",
@@ -60,60 +99,12 @@ def _build_parser() -> _Parser:
         epilog="Default output directory: $" + OUT_DIR_ENV + " (else '.').",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--config", help="flat key = value config file")
-    grid.add_argument("--preset", help="named sweep: fig2, fig3, or fig4")
-    grid.add_argument(
-        "--sweep",
-        action="append",
-        metavar="PARAM=START:STOP:STEP",
-        help="sweep axis; repeatable, row-major in the order given",
-    )
-    grid.add_argument(
-        "--fix",
-        action="append",
-        metavar="PARAM=VALUE",
-        help="hold a parameter fixed; repeatable",
-    )
-    grid.add_argument("--out", help="output CSV path")
-    grid.add_argument(
-        "--degrees",
-        dest="angles",
-        action="store_const",
-        const="degrees",
-        help="interpret angle values (sweep/fix) as degrees",
-    )
-    grid.add_argument(
-        "--gnuplot",
-        action="store_const",
-        const="true",
-        help="also write a gnuplot script next to the CSV",
-    )
-
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--mu", help="mean photon number per time bin")
-    source.add_argument("--bins", help="number of time bins")
-    source.add_argument("--seed", help="run seed (unsigned 64-bit)")
-    source.add_argument("--routing", help="pair routing: paired or binomial")
-
-    sub.add_parser(
-        "analytic", parents=[grid], help="closed-form sweep to CSV"
-    )
-    mc = sub.add_parser(
-        "montecarlo",
-        parents=[grid, source],
-        help="photon-counting sweep to CSV",
-    )
-    mc.add_argument(
-        "--normalization",
-        choices=NORMALIZATIONS,
-        help="coincidence normalization (default analytic)",
-    )
-    ver = sub.add_parser(
-        "verify", parents=[source], help="run the invariant checks"
-    )
-    ver.add_argument("--config", help="flat key = value config file")
+    for mode, summary in _MODE_HELP.items():
+        mode_parser = sub.add_parser(mode, help=summary)
+        mode_parser.add_argument("--config", help="flat key = value config file")
+        for key, (flag, options) in _FLAGS.items():
+            if mode in KEY_MODES[key]:
+                mode_parser.add_argument(flag, dest=key, **{"action": _Once, **options})
     return parser
 
 
@@ -132,7 +123,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if value is None or key == "config":
             continue
-        if key in ("sweep", "fix"):
+        if key in PARAM_KEYS:
             for item in value:
                 name, text = _split_assignment(f"--{key}", item)
                 if f"{key}.{name}" in overrides:
@@ -148,7 +139,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as handle:
+            with open(config_path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}")

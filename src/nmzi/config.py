@@ -11,10 +11,11 @@ The grammar is intentionally small.  Scalar keys::
     angles = radians | degrees
 
 plus per-parameter keys ``sweep.<param> = start:stop:step`` and
-``fix.<param> = value`` for explicit grids.  A key the mode does not read is
-refused: the source keys and ``normalization`` under ``analytic``; the grid,
-output, ``normalization`` and ``angles`` keys under ``verify``, whose Monte
-Carlo checks read the source keys.  A grid may have at most
+``fix.<param> = value`` for explicit grids.  ``KEY_MODES`` names the modes
+that read each key, and a key given to any other mode is refused: the
+source keys and ``normalization`` under ``analytic``; the grid, output,
+``normalization`` and ``angles`` keys under ``verify``, whose Monte Carlo
+checks read the source keys.  A grid may have at most
 ``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
 larger grid is rejected before any point is built, as is ``gnuplot = true``
 with more than two sweep axes.  A ``#`` at the start of a line or after
@@ -43,27 +44,21 @@ from .montecarlo import NORMALIZATIONS, SourceParams
 
 MODES = ("analytic", "montecarlo", "verify")
 
-_SCALAR_KEYS = (
-    "mode",
-    "preset",
-    "mu",
-    "bins",
-    "seed",
-    "routing",
-    "normalization",
-    "out",
-    "gnuplot",
-    "angles",
-)
-
-# Keys (or key prefixes before a dot) that a mode does not read; giving one
-# is an error rather than silently ignored.  Only the modes that sample
-# photons read the source keys (mu, bins, seed, routing).
-_UNREAD_KEYS = {
-    "analytic": ("mu", "bins", "seed", "routing", "normalization"),
-    "montecarlo": (),
-    "verify": ("preset", "sweep", "fix", "out", "gnuplot", "normalization", "angles"),
+# The modes that read each config key (for ``sweep.<param>`` and
+# ``fix.<param>``, the part before the dot).  Any other mode refuses the key
+# rather than silently ignoring it: only the sweep modes read a grid or write
+# a file, and only the modes that sample photons read the source keys.  The
+# CLI gives each subcommand the flags of the keys its mode reads.
+KEY_MODES = {
+    "mode": MODES,
+    **dict.fromkeys(
+        ("preset", "sweep", "fix", "out", "gnuplot", "angles"), ("analytic", "montecarlo")
+    ),
+    **dict.fromkeys(("mu", "bins", "seed", "routing"), ("montecarlo", "verify")),
+    "normalization": ("montecarlo",),
 }
+# The keys that take a parameter name after a dot.
+PARAM_KEYS = ("sweep", "fix")
 
 _DEFAULT_MU = 0.05
 _DEFAULT_BINS = 1_000_000
@@ -120,18 +115,13 @@ def _entry_value(key: str, value: str) -> str:
 
 
 def _validate_key(key: str) -> None:
-    if key in _SCALAR_KEYS:
-        return
-    for prefix in ("sweep.", "fix."):
-        if key.startswith(prefix):
-            param = key[len(prefix):]
-            if param in SWEEP_PARAMS:
-                return
-            raise ConfigError(
-                f"unknown config key {key!r}: parameter must be one of "
-                f"{SWEEP_PARAMS}"
-            )
-    raise ConfigError(f"unknown config key {key!r}")
+    head, dot, param = key.partition(".")
+    if head not in KEY_MODES or bool(dot) != (head in PARAM_KEYS):
+        raise ConfigError(f"unknown config key {key!r}")
+    if dot and param not in SWEEP_PARAMS:
+        raise ConfigError(
+            f"unknown config key {key!r}: parameter must be one of {SWEEP_PARAMS}"
+        )
 
 
 def _parse_lines(text: str) -> dict:
@@ -200,7 +190,7 @@ def parse_config(
     if mode not in MODES:
         raise ConfigError(f"config key 'mode': expected one of {MODES}, got {mode!r}")
     for key in raw:
-        if key.partition(".")[0] in _UNREAD_KEYS[mode]:
+        if mode not in KEY_MODES[key.partition(".")[0]]:
             raise ConfigError(f"config key {key!r} does not apply to mode {mode!r}")
 
     angles = raw.pop("angles", "radians")
@@ -236,13 +226,13 @@ def parse_config(
             param = key[len("fix."):]
             fixed[param] = to_radians(_as_float(key, raw.pop(key)))
 
-    if preset is None and not axes and mode != "verify":
+    if preset is None and not axes and mode in KEY_MODES["preset"]:
         raise ConfigError(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
 
     source = None
-    if mode in ("montecarlo", "verify"):
+    if mode in KEY_MODES["mu"]:
         mu = _as_float("mu", raw.pop("mu", str(_DEFAULT_MU)))
         bins = _as_int("bins", raw.pop("bins", str(_DEFAULT_BINS)))
         seed = _as_int("seed", raw.pop("seed", "0"))
@@ -290,7 +280,7 @@ def canonical_config_text(config: RunConfig) -> str:
         entries.append(("bins", str(src.n_time_bins)))
         entries.append(("seed", str(src.rng_seed)))
         entries.append(("routing", src.routing))
-    if config.mode == "montecarlo":
+    if config.mode in KEY_MODES["normalization"]:
         entries.append(("normalization", config.normalization))
     if config.out_path is not None:
         entries.append(("out", config.out_path))

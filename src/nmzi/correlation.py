@@ -124,10 +124,12 @@ class SweepSpec(_Record):
     """
 
     axes: tuple[SweepAxis, ...]
-    # Read-only, so no two specs share a mutable default.
+    # Kept as a read-only copy, so neither the caller's mapping nor a write
+    # through one spec (a shared preset) can change another.
     fixed: Mapping[str, float] = MappingProxyType({})
 
     def __post_init__(self) -> None:
+        self.__dict__["fixed"] = MappingProxyType(dict(self.fixed))
         if not self.axes:
             raise ValueError("sweep requires at least one axis")
         claimed: dict[str, str] = {}
@@ -152,6 +154,9 @@ class SweepSpec(_Record):
                 f"sweep has {self.n_points} grid points, above the cap of "
                 f"{MAX_GRID_POINTS}"
             )
+
+    def __hash__(self) -> int:
+        return hash((self.axes, frozenset(self.fixed.items())))
 
     @property
     def n_points(self) -> int:

@@ -138,6 +138,14 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             ["analytic", "--preset", "fig2", "--out", "   "],
             "config error: config key 'out' has an empty value",
         ),
+        (
+            ["analytic", "--preset", "fig2", "--preset", "fig3"],
+            "usage error: argument --preset: may be given only once",
+        ),
+        (
+            ["montecarlo", "--preset", "fig2", "--mu", "0.05", "--mu", "0.1"],
+            "usage error: argument --mu: may be given only once",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -216,6 +224,18 @@ def test_config_file_drives_a_run_and_flags_win(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_with_byte_order_mark_drives_the_same_run(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    body = "preset = fig2\nfix.zeta = 0.5\n"
+    plain.write_text("mode = analytic\n" + body, encoding="utf-8")
+    marked.write_text("mode = analytic\n" + body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for cfg in (plain, marked):
+        assert main(["analytic", "--config", str(cfg), "--out", str(cfg) + ".csv"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "marked.cfg.csv").read_bytes() == (tmp_path / "plain.cfg.csv").read_bytes()
+
+
 def test_every_flag_dest_is_its_config_key():
     parser = cli._build_parser()
     (modes,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -276,3 +296,53 @@ def test_config_keys_a_mode_does_not_read_exit_one(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
     assert main(["verify", "--config", str(cfg)]) == 1
     assert "config key 'preset' does not apply to mode 'verify'" in capsys.readouterr().err
+
+
+# The exact option strings each subcommand accepts, stated here apart from
+# config.KEY_MODES so that a slip in the mapping shows.
+MODE_FLAGS = {
+    "analytic": ["--config", "--preset", "--sweep", "--fix", "--out", "--degrees", "--gnuplot"],
+    "montecarlo": [
+        "--config", "--preset", "--sweep", "--fix", "--out", "--degrees", "--gnuplot",
+        "--mu", "--bins", "--seed", "--routing", "--normalization",
+    ],
+    "verify": ["--config", "--mu", "--bins", "--seed", "--routing"],
+}
+
+# Each config key, the flag that sets it and a value the key accepts.
+KEY_FLAG_VALUE = {
+    "preset": ("--preset", "fig2"),
+    "sweep.phi": ("--sweep", "0:1:0.5"),
+    "fix.psi": ("--fix", "0"),
+    "out": ("--out", "x.csv"),
+    "angles": ("--degrees", "degrees"),
+    "gnuplot": ("--gnuplot", "true"),
+    "mu": ("--mu", "0.05"),
+    "bins": ("--bins", "100"),
+    "seed": ("--seed", "1"),
+    "routing": ("--routing", "paired"),
+    "normalization": ("--normalization", "measured"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+def test_each_mode_takes_exactly_its_flags(mode, tmp_path, capsys, monkeypatch):
+    parser = cli._build_parser()
+    (modes,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        option
+        for action in modes.choices[mode]._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert sorted(options) == sorted(MODE_FLAGS[mode])
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    for key, (flag, value) in KEY_FLAG_VALUE.items():
+        if flag in MODE_FLAGS[mode]:
+            continue
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([mode, "--config", str(cfg)]) == 1
+        assert f"config key {key!r} does not apply to mode {mode!r}" in capsys.readouterr().err
+    # Refused before any work: nothing but the config file is left.
+    assert {path.name for path in tmp_path.iterdir()} <= {"run.cfg"}

@@ -12,7 +12,7 @@ from nmzi.config import (
     canonical_config_text,
     parse_config,
 )
-from nmzi.correlation import PRESETS, SweepAxis
+from nmzi.correlation import PRESETS, SweepAxis, SweepSpec
 
 FILE_TEXT = """
 # alice drives phi, bob stays at zero
@@ -270,6 +270,21 @@ def test_build_sweep_spec_resolves_presets_and_axes():
     assert explicit.axes[0].name == "phi"
     with pytest.raises(ConfigError, match="at least one axis"):
         build_sweep_spec(RunConfig(mode="verify"))
+
+
+def test_a_spec_keeps_a_read_only_copy_of_its_fixed_values():
+    spec = build_sweep_spec(RunConfig(mode="analytic", preset="fig2"))
+    with pytest.raises(TypeError):
+        spec.fixed["zeta"] = 0.0
+    assert dict(PRESETS["fig2"].fixed) == {"zeta": math.pi / 4}
+    given = {"psi": 0.5, "theta": 0.25}
+    copied = SweepSpec(axes=(SweepAxis("phi", 0.0, 1.0, 0.5),), fixed=given)
+    given["psi"] = 1.0
+    assert copied.fixed["psi"] == 0.5
+    # Equal specs hash equal, whatever order the fixed values came in.
+    same = SweepSpec(axes=copied.axes, fixed={"theta": 0.25, "psi": 0.5})
+    assert same == copied and hash(same) == hash(copied)
+    assert hash(PRESETS["fig2"]) == hash(SweepSpec(PRESETS["fig2"].axes, {"zeta": math.pi / 4}))
 
 
 def test_conflicting_parameters_fail_when_the_spec_is_built():
