@@ -312,6 +312,10 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
     product of the two detectors' singles rates averaged over the whole sweep
     (their sampling error is not propagated -- a documented approximation).
 
+    A point with no post-selected pair has ``n = 0`` and ``nan`` in the four
+    estimate columns, and the sweep runs on.  ``measured`` normalization
+    raises when the sweep has no pair at all or a detector never fires.
+
     Each column is one array operation over int64 counts, in the order the
     formulas read; IEEE division and square root round correctly, so every
     value is bit-identical to the scalar formulas on Python floats as long as
@@ -332,14 +336,14 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
             raise ValueError("no post-selected pairs anywhere in the sweep")
         singles = detector_singles(totals)
         marginals = {d: k / total_pairs for d, k in singles.items()}
-    if not (n > 0).all():
-        raise ValueError("cannot estimate a correlation from zero post-selected pairs")
     if min(marginals.values()) <= 0.0:
         raise ValueError("measured marginals must be positive")
     columns = []
     for pair in ("AD", "BC"):
         denominator = marginals[pair[0]] * marginals[pair[1]]
-        p_hat = fates[:, FATES.index(pair)] / n
+        # 0 / 0 is nan: a point with no pairs has no estimate.
+        with np.errstate(invalid="ignore"):
+            p_hat = fates[:, FATES.index(pair)] / n
         std_error = np.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
         columns += [p_hat / denominator, std_error]
     return (*columns, n)

@@ -20,10 +20,16 @@ function of the inputs.
 
 Rendering goes column by column, because a sweep's columns repeat values
 heavily (a 101 x 101 map has 101 distinct values per axis): each column's
-distinct values are formatted once and the text is gathered back through
-``np.unique``'s inverse index, then each row's cells are joined.  Floats are
-told apart by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
-own text.
+distinct values are formatted once, each with the comma or newline that ends
+its cell.  The floats of all columns go through one numpy kernel,
+:func:`nmzi._digits.float_cells`, which gives ``"{:.16e}"``'s text exactly,
+faster than CPython's one-at-a-time formatter; it is imported on the first
+call, so ``import nmzi.cli`` does not compile it.  Floats are told apart by
+bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their own text, and
+a point with no Monte Carlo estimate prints ``nan``.  The cells' text is
+then gathered through ``np.unique``'s inverse indexes as one object array
+per block of 1024 rows and joined into one string per block: no per-line
+string is built.
 
 Files are written to a temporary name in the target directory and renamed
 into place, so an interrupted run leaves the previous file (or none), never
@@ -43,8 +49,8 @@ from .montecarlo import ESTIMATE_COLUMNS
 
 ANALYTIC_COLUMNS = SETTINGS_COLUMNS + RECORD_COLUMNS + ("R_AD_normalized",)
 
-# 17 significant digits: enough to reproduce the double exactly.
-_FLOAT = "{:.16e}"
+# Rows per text chunk: a chunk is joined at once from the cells' text.
+_ROW_BLOCK = 1024
 
 
 def csv_rows(
@@ -52,10 +58,12 @@ def csv_rows(
     records: np.ndarray,
     mc_columns: Sequence[np.ndarray] | None = None,
 ) -> list[str]:
-    """Render the sweep to CSV lines, header first, each ending in a newline.
+    """Render the sweep to CSV text: the header line, then one chunk per 1024 rows.
 
-    ``records`` is ``record_at(settings)``; ``mc_columns``, when given, is
-    ``estimate_columns`` of the sweep, aligned with the rows of ``settings``.
+    Every line, header included, ends in a newline, so ``"".join`` of the
+    result is the file.  ``records`` is ``record_at(settings)``;
+    ``mc_columns``, when given, is ``estimate_columns`` of the sweep, aligned
+    with the rows of ``settings``.
     """
     if len(settings) == 0:
         raise ValueError("no records to write; refusing to emit an empty CSV")
@@ -64,32 +72,45 @@ def csv_rows(
             f"Monte Carlo results ({len(mc_columns[-1])}) do not align with the "
             f"analytic records ({len(settings)})"
         )
+    # Loaded on first use, like nmzi.verify: only a CSV needs the kernel.
+    from ._digits import float_cells
+
     r_ad = records[:, RECORD_COLUMNS.index("R_AD")]
     peak = r_ad.max()
     normalized = r_ad / peak if peak > 0.0 else np.zeros_like(r_ad)
-    columns = [*settings.T, *records.T, normalized]
     header = ANALYTIC_COLUMNS
-    formats = [_FLOAT] * len(columns)
+    floats = [*settings.T, *records.T, normalized]
     if mc_columns is not None:
-        columns += mc_columns
         header += ESTIMATE_COLUMNS
-        formats += [_FLOAT] * 4 + ["{}"]
-    formats[-1] += "\n"
-    cells = map(_column_cells, columns, formats)
-    return [",".join(header) + "\n", *map(",".join, zip(*cells))]
-
-
-def _column_cells(column: np.ndarray, cell: str) -> list[str]:
-    """``cell.format`` of each value of ``column``, each distinct value formatted once.
-
-    Float64 columns are keyed by their bit patterns: keying by value would give
-    ``-0.0`` the text of ``0.0``.
-    """
-    values = np.ascontiguousarray(column)
-    keys = values.view(np.uint64) if values.dtype == np.float64 else values
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    text = list(map(cell.format, distinct.view(values.dtype).tolist()))
-    return [text[i] for i in inverse.tolist()]
+        floats += mc_columns[:-1]
+    # cell[i, j] indexes the text of row i's value in column j, each distinct
+    # value formatted once per column.  Floats are told apart by bit pattern.
+    cell = np.empty((len(settings), len(header)), dtype=np.intp)
+    distinct = []
+    offset = 0
+    for j, column in enumerate(floats):
+        keys = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+        keys, cell[:, j] = np.unique(keys, return_inverse=True)
+        cell[:, j] += offset
+        offset += len(keys)
+        distinct.append(keys)
+    ends = np.full(len(header), ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    texts = float_cells(
+        np.concatenate(distinct).view(np.float64),
+        np.repeat(ends[: len(floats)], [len(keys) for keys in distinct]),
+    )
+    if mc_columns is not None:
+        keys, cell[:, -1] = np.unique(mc_columns[-1], return_inverse=True)
+        cell[:, -1] += offset
+        texts += [f"{key}\n" for key in keys.tolist()]
+    text = np.array(texts, dtype=object)
+    chunks = [",".join(header) + "\n"]
+    for start in range(0, len(cell), _ROW_BLOCK):
+        # A 1-D object array lists fast; a 2-D one builds a list per row.
+        block = text[cell[start : start + _ROW_BLOCK]].ravel()
+        chunks.append("".join(block.tolist()))
+    return chunks
 
 
 def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:

@@ -54,8 +54,8 @@ def _sigmas(observed: float, expected: float, sigma: float) -> float:
 def _cells(spec: SweepSpec) -> list[list[str]]:
     """The CSV data rows of a sweep, split into cells."""
     settings = sweep_settings(spec)
-    lines = csv_rows(settings, record_at(settings))[1:]
-    return [line.rstrip("\n").split(",") for line in lines]
+    lines = "".join(csv_rows(settings, record_at(settings))).splitlines()[1:]
+    return [line.split(",") for line in lines]
 
 
 def _record(phi: float, psi: float, xi: float, theta: float) -> dict:

@@ -57,6 +57,18 @@ def test_montecarlo_runs_are_byte_identical_for_a_seed(tmp_path):
     assert third.read_bytes() != first.read_bytes()
 
 
+def test_points_without_pairs_are_written_as_nan(tmp_path, capsys):
+    # About 1.2 pairs per point at 1000 bins: many points draw none.
+    out = tmp_path / "fig2.csv"
+    assert main(["montecarlo", "--preset", "fig2", "--bins", "1000", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 201
+    empty = [row for row in rows if row[-1] == "0"]
+    assert empty and all(row[11:15] == ["nan"] * 4 for row in empty)
+    assert all("nan" not in row for row in rows if row[-1] != "0")
+    assert capsys.readouterr().err == ""
+
+
 def test_degrees_flag_reproduces_radian_run(tmp_path):
     deg = tmp_path / "deg.csv"
     rad = tmp_path / "rad.csv"

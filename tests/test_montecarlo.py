@@ -378,15 +378,18 @@ def test_estimate_antisynchronized_peak_is_four():
 
 def test_estimate_rejects_degenerate_inputs():
     empty = np.zeros((1, 9), dtype=np.int64)
-    with pytest.raises(ValueError, match="zero post-selected pairs"):
-        estimate_columns(empty, "analytic")
+    # A point with no pairs has no estimate: nan, and n_pairs 0.
+    *estimates, n_pairs = estimate_columns(empty, "analytic")
+    assert np.isnan(estimates).all() and n_pairs.tolist() == [0]
     with pytest.raises(ValueError, match="anywhere in the sweep"):
         estimate_columns(empty, "measured")
     point = fates_of(
         run_single_point(np.array([[1.0, 1.0, 0.5, 0.5]]), n_bins=100_000)
     )
-    with pytest.raises(ValueError, match="zero post-selected pairs"):
-        estimate_columns(np.concatenate([point, empty]), "measured")
+    *estimates, n_pairs = estimate_columns(np.concatenate([point, empty]), "measured")
+    assert np.isfinite(np.array(estimates)[:, 0]).all()
+    assert np.isnan(np.array(estimates)[:, 1]).all()
+    assert n_pairs.tolist() == [point.sum(), 0]
     # Detectors A and C never fire at this point.
     dark = run_single_point(np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]]))
     with pytest.raises(ValueError, match="marginals must be positive"):

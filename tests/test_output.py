@@ -41,7 +41,7 @@ def sweep(name):
 
 def test_header_and_column_order():
     settings, records = sweep("fig2")
-    rows = csv_rows(settings, records)
+    rows = "".join(csv_rows(settings, records)).splitlines(keepends=True)
     header = rows[0].rstrip("\n").split(",")
     assert header == list(ANALYTIC_COLUMNS)
     assert header[:4] == ["phi", "psi", "xi", "theta"]
@@ -175,7 +175,37 @@ def test_csv_rows_match_a_per_cell_restatement(sweep):
         expected = _reference_rows(settings, records, mc_columns)
     assert type(rows) is list
     assert all(type(row) is str for row in rows)
-    assert rows == expected
+    assert "".join(rows).splitlines(keepends=True) == expected
+
+
+@pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("with_mc", [False, True], ids=["analytic", "mc"])
+def test_row_blocks_join_to_the_per_cell_restatement(n_rows, with_mc):
+    rng = np.random.default_rng(n_rows)
+    palette = np.array(_EDGE_FLOATS + [0.25, -3.5e-7, 1e300])
+
+    def column():
+        # Half the cells from a small palette, so that values repeat.
+        values = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        return np.where(rng.random(n_rows) < 0.5, rng.choice(palette, n_rows), values)
+
+    settings = np.stack([column() for _ in range(4)], axis=1)
+    records = np.stack([column() for _ in range(6)], axis=1)
+    # The R_AD peak sits in the last block, and every block is normalized by it.
+    records[:, 4] = rng.uniform(0.0, 1.0, n_rows)
+    records[-1, 4] = 2.0
+    mc_columns = None
+    if with_mc:
+        mc_columns = [column() for _ in range(4)]
+        mc_columns.append(rng.integers(0, 3, n_rows) * rng.integers(0, 2**62, n_rows))
+    with np.errstate(all="ignore"):
+        rows = csv_rows(settings, records, mc_columns)
+        expected = _reference_rows(settings, records, mc_columns)
+    assert rows[0] == expected[0]
+    assert [chunk.count("\n") for chunk in rows[1:]] == [
+        min(1024, n_rows - start) for start in range(0, n_rows, 1024)
+    ]
+    assert "".join(rows) == "".join(expected)
 
 
 def test_empty_records_error_and_no_file(tmp_path):
