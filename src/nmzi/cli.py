@@ -22,15 +22,26 @@ radians.  ``verify`` always runs its Monte Carlo checks, on the source that
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure.  ``NMZI_OUT_DIR`` names the default output directory when ``--out``
 is not given.
+
+The ``nmzi`` script and ``python -m nmzi.cli`` both enter through
+:func:`run`, which calls :func:`main` and then freezes the heap
+(``gc.freeze()``) before exiting with its status.  Interpreter shutdown runs
+about three full cyclic collections over every tracked object, some 22 000
+with numpy loaded; frozen objects are skipped, and the operating system
+takes the memory back when the process ends.  Atexit handlers, the flush of
+stdout and stderr and the clearing of module dicts run as before.  ``main``
+itself never freezes, because tests and other in-process callers keep
+running after it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .config import KEY_MODES, PARAM_KEYS, ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
@@ -223,5 +234,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The process entry: exit with :func:`main`'s status, skipping the
+    shutdown's collections over the objects alive at that point."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

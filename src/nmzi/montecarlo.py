@@ -313,8 +313,11 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
     (their sampling error is not propagated -- a documented approximation).
 
     A point with no post-selected pair has ``n = 0`` and ``nan`` in the four
-    estimate columns, and the sweep runs on.  ``measured`` normalization
-    raises when the sweep has no pair at all or a detector never fires.
+    estimate columns, and the sweep runs on.  Under ``measured``
+    normalization a pair with a detector that never fires in the sweep has a
+    zero denominator, so its ``R_hat`` and ``stderr`` are ``nan`` on every
+    row; the other pair is unaffected.  ``measured`` raises only when the
+    sweep has no pair at all.
 
     Each column is one array operation over int64 counts, in the order the
     formulas read; IEEE division and square root round correctly, so every
@@ -336,11 +339,13 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
             raise ValueError("no post-selected pairs anywhere in the sweep")
         singles = detector_singles(totals)
         marginals = {d: k / total_pairs for d, k in singles.items()}
-    if min(marginals.values()) <= 0.0:
-        raise ValueError("measured marginals must be positive")
     columns = []
     for pair in ("AD", "BC"):
         denominator = marginals[pair[0]] * marginals[pair[1]]
+        if denominator == 0.0:
+            # A dark detector leaves the pair without a normalization.
+            columns += [np.full(len(n), np.nan), np.full(len(n), np.nan)]
+            continue
         # 0 / 0 is nan: a point with no pairs has no estimate.
         with np.errstate(invalid="ignore"):
             p_hat = fates[:, FATES.index(pair)] / n

@@ -1,9 +1,16 @@
-"""End-to-end tests of the command-line interface via ``main(argv)``."""
+"""End-to-end tests of the command-line interface via ``main(argv)``, and of
+the process entry that ``python -m nmzi.cli`` and the ``nmzi`` script run."""
 
 import argparse
+import ast
 import functools
+import gc
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +20,8 @@ from nmzi.config import _validate_key, parse_config
 from nmzi.elements import ElementConventions
 
 QUARTER = math.pi / 4.0
+
+ROOT = Path(__file__).resolve().parent.parent
 
 THREE_AXES = ["--sweep", "phi=0:1:0.5", "--sweep", "psi=0:1:0.5", "--sweep", "xi=0:1:0.5"]
 
@@ -66,6 +75,20 @@ def test_points_without_pairs_are_written_as_nan(tmp_path, capsys):
     empty = [row for row in rows if row[-1] == "0"]
     assert empty and all(row[11:15] == ["nan"] * 4 for row in empty)
     assert all("nan" not in row for row in rows if row[-1] != "0")
+    assert capsys.readouterr().err == ""
+
+
+def test_measured_normalization_with_a_dark_detector_writes_nan(tmp_path, capsys):
+    # Detector C never fires on the fig4 grid, so BC has no measured
+    # normalization; AD has pairs at every point.
+    out = tmp_path / "fig4.csv"
+    argv = ["montecarlo", "--preset", "fig4", "--normalization", "measured", "--out", str(out)]
+    assert main(argv) == 0
+    header, *lines = out.read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    assert len(lines) == 10_201
+    assert set(columns["R_hat_BC"]) == set(columns["stderr_BC"]) == {"nan"}
+    assert all(math.isfinite(float(v)) for v in columns["R_hat_AD"] + columns["stderr_AD"])
     assert capsys.readouterr().err == ""
 
 
@@ -358,3 +381,62 @@ def test_each_mode_takes_exactly_its_flags(mode, tmp_path, capsys, monkeypatch):
         assert f"config key {key!r} does not apply to mode {mode!r}" in capsys.readouterr().err
     # Refused before any work: nothing but the config file is left.
     assert {path.name for path in tmp_path.iterdir()} <= {"run.cfg"}
+
+
+# ``python -m nmzi.cli ARGV`` in a child that prints its freeze count last.
+_ENTRY_CHILD = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "runpy.run_module('nmzi.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _run_entry(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY_CHILD, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_process_entry_freezes_the_heap_and_keeps_the_output(tmp_path, capsys):
+    child_csv, main_csv = tmp_path / "child.csv", tmp_path / "main.csv"
+    done = _run_entry(["analytic", "--preset", "fig2", "--out", str(child_csv)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    wrote, frozen = done.stdout.splitlines()
+    assert wrote == f"wrote 201 grid points to {child_csv}"
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+    assert main(["analytic", "--preset", "fig2", "--out", str(main_csv)]) == 0
+    capsys.readouterr()
+    assert child_csv.read_bytes() == main_csv.read_bytes()
+
+    done = _run_entry(["analytic", "--preset", "fig2", "--preset", "fig3"], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "usage error: argument --preset: may be given only once\n"
+
+
+def test_main_leaves_the_freeze_count_alone(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["analytic", "--preset", "fig2", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["analytic", "--preset", "fig2", "--preset", "fig3"]) == 1
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is missing on Python 3.10")
+def test_script_entry_is_the_main_block_entry():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, _, function = project["scripts"]["nmzi"].partition(":")
+    assert module == "nmzi.cli" and callable(getattr(cli, function))
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = (
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]

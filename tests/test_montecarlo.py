@@ -390,10 +390,12 @@ def test_estimate_rejects_degenerate_inputs():
     assert np.isfinite(np.array(estimates)[:, 0]).all()
     assert np.isnan(np.array(estimates)[:, 1]).all()
     assert n_pairs.tolist() == [point.sum(), 0]
-    # Detectors A and C never fire at this point.
-    dark = run_single_point(np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]]))
-    with pytest.raises(ValueError, match="marginals must be positive"):
-        estimate_columns(fates_of(dark), "measured")
+    # Detectors A and C never fire at this point: neither pair has a
+    # normalization, so all four estimates are nan and n_pairs is kept.
+    dark = fates_of(run_single_point(np.array([[0.0, 0.0, QUARTER_TURN, QUARTER_TURN]])))
+    *estimates, n_pairs = estimate_columns(dark, "measured")
+    assert np.isnan(estimates).all()
+    assert n_pairs.tolist() == [dark.sum()] and dark.sum() > 0
     with pytest.raises(ValueError):
         estimate_columns(point, "bogus")
 
