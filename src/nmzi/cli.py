@@ -45,7 +45,7 @@ from typing import NoReturn, Sequence
 
 from .config import KEY_MODES, PARAM_KEYS, ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
-from .montecarlo import NORMALIZATIONS, estimate_columns, run_experiment
+from .montecarlo import estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
 
 OUT_DIR_ENV = "NMZI_OUT_DIR"
@@ -92,8 +92,8 @@ _FLAGS = {
     "bins": ("--bins", dict(help="number of time bins")),
     "seed": ("--seed", dict(help="run seed (unsigned 64-bit)")),
     "routing": ("--routing", dict(help="pair routing: paired or binomial")),
-    "normalization": ("--normalization", dict(choices=NORMALIZATIONS,
-                                              help="coincidence normalization (default analytic)")),
+    "normalization": ("--normalization", dict(help="coincidence normalization: analytic or "
+                                                   "measured (default analytic)")),
 }
 
 _MODE_HELP = {
@@ -167,8 +167,17 @@ def _resolve_out_path(config: RunConfig) -> str:
 def _run_sweep_mode(config: RunConfig) -> int:
     out_path = _resolve_out_path(config)
     stem, extension = os.path.splitext(out_path)
+    script_path = stem + ".gp"
     if config.gnuplot and extension.lower() == ".gp":
         raise ConfigError(f"config key 'out': the gnuplot script would overwrite {out_path}")
+    written = [out_path, script_path] if config.gnuplot else [out_path]
+    # Refused before the sweep is expanded, not after its rows are rendered.
+    for path in written:
+        if os.path.isdir(path):
+            raise ConfigError(f"config key 'out': {path} is a directory")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"config key 'out': no directory {directory}")
     spec = build_sweep_spec(config)
     settings = sweep_settings(spec)
     records = record_at(settings)
@@ -178,12 +187,9 @@ def _run_sweep_mode(config: RunConfig) -> int:
             run_experiment(settings, config.source).fates, config.normalization
         )
     emit_csv(settings, records, out_path, mc_columns)
-    written = [out_path]
     if config.gnuplot:
-        script_path = stem + ".gp"
         axis_names = [axis.name for axis in spec.axes]
         emit_gnuplot(out_path, script_path, axis_names, mc_columns is not None)
-        written.append(script_path)
     print(f"wrote {len(records)} grid points to {', '.join(written)}")
     return EXIT_OK
 

@@ -64,9 +64,7 @@ and results are bit-identical for a given seed.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -155,19 +153,10 @@ class SamplingTally(_Record):
 class CoincidenceCounts(_Record):
     """The post-selected pairs, counted by joint fate.
 
-    ``fates`` holds one count per entry of ``FATES``, in that order.  Every
-    other tally is a sum of these nine.
+    ``fates`` holds one count per entry of ``FATES``, in that order.
     """
 
     fates: tuple[int, ...]
-
-    @property
-    def n_post_selected_pairs(self) -> int:
-        return sum(self.fates)
-
-    @property
-    def singles(self) -> dict:
-        return detector_singles(self.fates)
 
     @property
     def coincidences(self) -> dict:
@@ -183,20 +172,20 @@ class McPointResult(_Record):
     tally: SamplingTally
 
 
-def detector_singles(fates: Sequence[int]) -> dict:
+def detector_singles(fates: list[int]) -> dict:
     """Detections per detector: the sum of the fates that name it."""
     return {
         d: sum(k for fate, k in zip(FATES, fates) if d in fate) for d in DETECTORS
     }
 
 
-class SweepCounts(_Record, Sequence):
+class SweepCounts(_Record):
     """A sampled sweep: the ``(N, 12)`` int64 count array and its bins per point.
 
     ``counts`` has one row per sweep point, in the column order of the module
-    docstring; ``fates`` is its first nine columns.  As a read-only sequence
-    it has one item per row: indexing builds that row's
-    :class:`McPointResult` on demand, and a slice is the sweep of those rows.
+    docstring, and ``fates`` is its first nine columns; every reader in the
+    package takes these columns.  Iterating yields one :class:`McPointResult`
+    per row, in row order, and exists only for ``benchmarks/tracer.py``.
     """
 
     counts: np.ndarray
@@ -210,17 +199,14 @@ class SweepCounts(_Record, Sequence):
     def fates(self) -> np.ndarray:
         return self.counts[:, :9]
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepCounts(self.counts[index], self.n_bins)
-        row = self.counts[operator.index(index)].tolist()
-        return McPointResult(
-            counts=CoincidenceCounts(tuple(row[:9])),
-            tally=SamplingTally(self.n_bins, sum(row[:10]), row[10], row[9]),
-        )
+    def __iter__(self):
+        # One block of rows as Python ints at a time, not the whole array.
+        for start in range(0, len(self.counts), _BLOCK_ROWS):
+            for row in self.counts[start : start + _BLOCK_ROWS].tolist():
+                yield McPointResult(
+                    counts=CoincidenceCounts(tuple(row[:9])),
+                    tally=SamplingTally(self.n_bins, sum(row[:10]), row[10], row[9]),
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from nmzi.correlation import (
     sweep_settings,
     synchronized_settings,
 )
-from nmzi.montecarlo import DETECTORS, SourceParams, estimate_columns, run_experiment
+from nmzi.montecarlo import (
+    DETECTORS,
+    SourceParams,
+    detector_singles,
+    estimate_columns,
+    run_experiment,
+)
 from nmzi.output import csv_rows
 from nmzi.station import (
     closed_form_station,
@@ -244,25 +250,27 @@ def test_7_photon_counting_reproduces_the_fringe(report):
     source = SourceParams(
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )
-    results = run_experiment(points, source)
-    r_hat, std_error, *_ = estimate_columns(results.fates, "analytic")
+    fates = run_experiment(points, source).fates
+    r_hat, std_error, *_ = estimate_columns(fates, "analytic")
     worst_z = 0.0
     worst_singles_z = 0.0
     worst_stderr = 0.0
     worst_algebra = 0.0
-    min_pairs = min(r.counts.n_post_selected_pairs for r in results)
-    for rho, truth, p_point, result, value, stderr in zip(
-        phases, truths, probabilities, results, r_hat.tolist(), std_error.tolist()
+    point_fates = fates.tolist()
+    min_pairs = min(sum(row) for row in point_fates)
+    for rho, truth, p_point, row, value, stderr in zip(
+        phases, truths, probabilities, point_fates, r_hat.tolist(), std_error.tolist()
     ):
         worst_algebra = max(worst_algebra, abs(truth - math.sin(rho) ** 2))
         worst_z = max(worst_z, _sigmas(value, truth, stderr))
         worst_stderr = max(worst_stderr, stderr)
-        n = result.counts.n_post_selected_pairs
+        n = sum(row)
+        singles = detector_singles(row)
         for detector, p in zip(DETECTORS[:2], p_point[:2]):
             sigma = math.sqrt(p * (1.0 - p) / n)
             worst_singles_z = max(
                 worst_singles_z,
-                _sigmas(result.counts.singles[detector] / n, p, sigma),
+                _sigmas(singles[detector] / n, p, sigma),
             )
     elapsed = time.perf_counter() - started
     passed = (
@@ -290,12 +298,13 @@ def test_8_pair_bin_fraction_matches_poisson_mass(report):
         source = SourceParams(
             mean_photon_number=mu, n_time_bins=2_000_000, rng_seed=3
         )
-        tally = run_experiment(synchronized_settings(1.0, QUARTER_TURN), source)[0].tally
+        counts = run_experiment(synchronized_settings(1.0, QUARTER_TURN), source).counts
+        n_pair_bins = sum(counts[0, :10].tolist())
         p2 = math.exp(-mu) * mu * mu / 2.0
         sigma = math.sqrt(source.n_time_bins * p2 * (1.0 - p2))
         worst_z = max(
             worst_z,
-            _sigmas(float(tally.n_pair_bins), source.n_time_bins * p2, sigma),
+            _sigmas(float(n_pair_bins), source.n_time_bins * p2, sigma),
         )
     passed = worst_z <= 4.0
     report(

@@ -181,6 +181,15 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             ["montecarlo", "--preset", "fig2", "--mu", "0.05", "--mu", "0.1"],
             "usage error: argument --mu: may be given only once",
         ),
+        (
+            ["analytic", "--preset", "fig2", "--out", "nodir/x.csv"],
+            "config error: config key 'out'",
+        ),
+        (
+            ["montecarlo", "--preset", "fig2", "--normalization", "fancy"],
+            "config error: normalization must be one of ('analytic', 'measured'), "
+            "got 'fancy'",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -190,6 +199,30 @@ def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
     assert fragment in capsys.readouterr().err
     # Refused before any work: no CSV, gnuplot script or temp file is left.
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def expand(spec):
+        raise AssertionError("the sweep was expanded")
+
+    monkeypatch.setattr(cli, "sweep_settings", expand)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NMZI_OUT_DIR", raising=False)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "scan.gp").mkdir()
+    for flags, fragment in [
+        (["--out", "taken"], "taken is a directory"),
+        (["--out", "nodir/x.csv"], "no directory nodir"),
+        (["--gnuplot", "--out", "scan.csv"], "scan.gp is a directory"),
+    ]:
+        assert main(["analytic", "--preset", "fig2", *flags]) == 1
+        assert f"config error: config key 'out': {fragment}" in capsys.readouterr().err
+    # A default path in a missing NMZI_OUT_DIR is refused the same way.
+    monkeypatch.setenv("NMZI_OUT_DIR", str(tmp_path / "missing"))
+    assert main(["montecarlo", "--preset", "fig2"]) == 1
+    assert "config error: config key 'out': no directory" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scan.gp", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_verify_passes_and_prints_one_line_per_check(capsys):

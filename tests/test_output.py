@@ -220,8 +220,8 @@ def test_mc_columns_and_alignment(tmp_path):
     settings, records = sweep("fig2")
     settings, records = settings[:20], records[:20]
     src = SourceParams(mean_photon_number=0.2, n_time_bins=50_000, rng_seed=6)
-    results = run_experiment(settings, src)
-    mc = estimate_columns(results.fates, "analytic")
+    fates = run_experiment(settings, src).fates
+    mc = estimate_columns(fates, "analytic")
     path = tmp_path / "mc.csv"
     emit_csv(settings, records, path, mc)
     with open(path, newline="") as handle:
@@ -229,8 +229,9 @@ def test_mc_columns_and_alignment(tmp_path):
     assert header == list(ANALYTIC_COLUMNS) + list(ESTIMATE_COLUMNS)
     rows = read_rows(path)
     r_hat_ad, _, _, stderr_bc, _ = mc
-    for row, point, r_hat, stderr in zip(rows, results, r_hat_ad, stderr_bc):
-        assert int(row["n_pairs"]) == point.counts.n_post_selected_pairs
+    n_pairs = fates.sum(axis=1).tolist()
+    for row, n, r_hat, stderr in zip(rows, n_pairs, r_hat_ad, stderr_bc):
+        assert int(row["n_pairs"]) == n
         assert float(row["R_hat_AD"]) == r_hat
         assert float(row["stderr_BC"]) == stderr
     with pytest.raises(ValueError, match="do not align"):

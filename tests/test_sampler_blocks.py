@@ -10,7 +10,7 @@ repeat its rows, and no block may reach into the next.
 import numpy as np
 import pytest
 
-from nmzi.montecarlo import SourceParams, run_experiment
+from nmzi.montecarlo import FATES, SourceParams, run_experiment
 from test_sampler_reference import (
     ALPHA,
     BINS_PER_RUN,
@@ -34,14 +34,9 @@ def random_settings(n_rows: int, seed: int) -> np.ndarray:
 
 def row_tables(settings: np.ndarray, row: int, src: SourceParams):
     """Bin classes, routing (kept, rejected) and fates of one sampled row."""
-    result = run_experiment(settings, src)[row]
-    tally = result.tally
-    bins = [
-        tally.n_bins - tally.n_pair_bins - tally.n_multi_bins,
-        tally.n_pair_bins,
-        tally.n_multi_bins,
-    ]
-    return bins, [tally.n_post_selected, tally.n_routing_rejected], result.counts.fates
+    counts = run_experiment(settings, src).counts[row].tolist()
+    bins = [counts[11], sum(counts[:10]), counts[10]]
+    return bins, [sum(counts[:9]), counts[9]], counts[:9]
 
 
 @pytest.mark.parametrize("row", [0, 517, BLOCK_ROWS - 1])
@@ -94,12 +89,12 @@ def test_adjacent_rows_of_a_block_are_independent(offset):
     # Equal settings make the rows identically distributed.
     settings = np.repeat(POINTS["generic"], 4 * BLOCK_ROWS, axis=0)
     src = SourceParams(MU, REJECTION_BINS, rng_seed=3, routing="binomial")
-    results = run_experiment(settings, src)
+    counts = run_experiment(settings, src).counts
     statistics = {
-        "pair bins": [r.tally.n_pair_bins for r in results],
-        "multi bins": [r.tally.n_multi_bins for r in results],
-        "rejected": [r.tally.n_routing_rejected for r in results],
-        "AD": [r.counts.coincidences["AD"] for r in results],
+        "pair bins": counts[:, :10].sum(axis=1),
+        "multi bins": counts[:, 10],
+        "rejected": counts[:, 9],
+        "AD": counts[:, FATES.index("AD")],
     }
     # Disjoint pairs of neighbouring rows that share a block.
     rows = np.arange(offset, len(settings) - 1, 2)

@@ -87,14 +87,9 @@ def reference_tables(settings: np.ndarray, src: SourceParams, rng):
 
 
 def sampler_tables(settings: np.ndarray, src: SourceParams):
-    result = run_experiment(settings, src)[0]
-    tally, fates = result.tally, result.counts.fates
-    bins = [
-        tally.n_bins - tally.n_pair_bins - tally.n_multi_bins,
-        tally.n_pair_bins,
-        tally.n_multi_bins,
-    ]
-    return bins, [tally.n_post_selected, tally.n_routing_rejected], fates
+    counts = run_experiment(settings, src).counts[0].tolist()
+    bins = [counts[11], sum(counts[:10]), counts[10]]
+    return bins, [sum(counts[:9]), counts[9]], counts[:9]
 
 
 @pytest.mark.parametrize("routing", ["paired", "binomial"])

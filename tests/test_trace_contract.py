@@ -104,5 +104,7 @@ def assert_traced_totals_equal_column_sums(trace, argv):
         "routing_rejected": counts[:, 9].sum(),
         "post_selected": counts[:, :9].sum(),
         "coincidences": counts[:, [0, 1, 3, 4]].sum(),
+        # The AD and BC fate columns.
+        "zero_coincidence_points": ((counts[:, 1] == 0) | (counts[:, 3] == 0)).sum(),
     }
     assert {key: observed[key] for key in totals} == totals
