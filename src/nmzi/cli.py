@@ -173,8 +173,10 @@ def _run_sweep_mode(config: RunConfig) -> int:
     written = [out_path, script_path] if config.gnuplot else [out_path]
     # Refused before the sweep is expanded, not after its rows are rendered.
     for path in written:
-        if os.path.isdir(path):
-            raise ConfigError(f"config key 'out': {path} is a directory")
+        # A rename over a FIFO or a device node would replace it with a file.
+        if os.path.exists(path) and not os.path.isfile(path):
+            kind = "a directory" if os.path.isdir(path) else "not a regular file"
+            raise ConfigError(f"config key 'out': {path} is {kind}")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"config key 'out': no directory {directory}")

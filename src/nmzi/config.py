@@ -98,10 +98,6 @@ class RunConfig(_Record):
                 f"({axes}); give one or the other"
             )
 
-    @property
-    def fixed_values(self) -> dict:
-        return dict(self.fixed)
-
 
 def _strip_comment(line: str) -> str:
     """``line`` up to its first ``#`` at the start or after whitespace."""
@@ -299,13 +295,10 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
     two), so ``gnuplot = true`` with more is refused here, before any point
     is computed or file written.
     """
+    axes, fixed = config.sweep_axes, config.fixed
     if config.preset is not None:
         base = PRESETS[config.preset]
-        if not config.fixed:
-            return base
-        axes, fixed = base.axes, {**base.fixed, **config.fixed_values}
-    else:
-        axes, fixed = config.sweep_axes, config.fixed_values
+        axes, fixed = base.axes, {**dict(base.fixed), **dict(fixed)}
     if config.gnuplot and len(axes) > 2:
         raise ConfigError(
             "config key 'gnuplot': a gnuplot script plots one or two sweep "

@@ -24,8 +24,7 @@ scan, a two-phase map, and a phase-versus-polarizer map.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Mapping
+import sys
 
 import numpy as np
 
@@ -50,6 +49,15 @@ MAX_GRID_POINTS = 10_000_000
 # stations' phase or polarizer angle at once.
 SWEEP_PARAMS = ("phi", "psi", "xi", "theta", "rho", "zeta")
 _ALIAS_TARGETS = {"rho": ("phi", "psi"), "zeta": ("xi", "theta")}
+
+# sin(2 xi) overflows above this polarizer-angle magnitude, and every computed
+# column is then nan.  Phases are not doubled, so they keep their range.
+_MAX_POLARIZER_ANGLE = sys.float_info.max / 2
+
+
+def _check_polarizer_angle(label: str, name: str, *values: float) -> None:
+    if name in ("xi", "theta", "zeta") and max(map(abs, values)) > _MAX_POLARIZER_ANGLE:
+        raise ValueError(f"{label}: polarizer angle above {_MAX_POLARIZER_ANGLE!r} in magnitude")
 
 
 def synchronized_settings(rho, zeta: float) -> np.ndarray:
@@ -108,6 +116,9 @@ class SweepAxis(_Record):
                 f"axis {self.name}: {steps:.6g} steps exceed the cap of "
                 f"{MAX_GRID_POINTS} grid points"
             )
+        # The first and last grid points, the last as sweep_settings computes it.
+        last = self.start + (self.count - 1) * self.step
+        _check_polarizer_angle(f"axis {self.name}", self.name, self.start, last)
 
     @property
     def count(self) -> int:
@@ -119,28 +130,29 @@ class SweepAxis(_Record):
 class SweepSpec(_Record):
     """Axes to sweep (row-major in declared order) plus fixed parameter values.
 
-    Every parameter may be set once, by an axis or a fixed value; an alias
-    (``rho``, ``zeta``) sets both of its targets.  Unset parameters are 0.
+    ``fixed`` is stored as ``(name, value)`` pairs sorted by name, the form
+    of ``RunConfig.fixed``; a mapping or pairs are accepted.  Every parameter
+    may be set once, by an axis or a fixed value; an alias (``rho``,
+    ``zeta``) sets both of its targets.  Unset parameters are 0.
     """
 
     axes: tuple[SweepAxis, ...]
-    # Kept as a read-only copy, so neither the caller's mapping nor a write
-    # through one spec (a shared preset) can change another.
-    fixed: Mapping[str, float] = MappingProxyType({})
+    fixed: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        self.__dict__["fixed"] = MappingProxyType(dict(self.fixed))
+        self.__dict__["fixed"] = tuple(sorted(dict(self.fixed).items()))
         if not self.axes:
             raise ValueError("sweep requires at least one axis")
         claimed: dict[str, str] = {}
         sources = [(axis.name, f"axis {axis.name}") for axis in self.axes]
-        for name, value in self.fixed.items():
+        for name, value in self.fixed:
             if name not in SWEEP_PARAMS:
                 raise ValueError(
                     f"unknown fixed parameter {name!r}, expected one of {SWEEP_PARAMS}"
                 )
             if not math.isfinite(value):
                 raise ValueError(f"fixed parameter {name!r} must be finite")
+            _check_polarizer_angle(f"fixed parameter {name!r}", name, value)
             sources.append((name, f"fix {name}"))
         for name, source in sources:
             for target in _ALIAS_TARGETS.get(name, (name,)):
@@ -154,9 +166,6 @@ class SweepSpec(_Record):
                 f"sweep has {self.n_points} grid points, above the cap of "
                 f"{MAX_GRID_POINTS}"
             )
-
-    def __hash__(self) -> int:
-        return hash((self.axes, frozenset(self.fixed.items())))
 
     @property
     def n_points(self) -> int:
@@ -196,7 +205,7 @@ def _columns(name: str) -> list[int]:
 def sweep_settings(spec: SweepSpec) -> np.ndarray:
     """Expand a sweep into an ``(N, 4)`` settings array, row-major."""
     settings = np.zeros((spec.n_points, len(SETTINGS_COLUMNS)))
-    for name, value in spec.fixed.items():
+    for name, value in spec.fixed:
         settings[:, _columns(name)] = value
     grids = np.meshgrid(
         *(axis.start + np.arange(axis.count) * axis.step for axis in spec.axes),

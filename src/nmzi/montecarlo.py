@@ -180,16 +180,16 @@ def detector_singles(fates: list[int]) -> dict:
 
 
 class SweepCounts(_Record):
-    """A sampled sweep: the ``(N, 12)`` int64 count array and its bins per point.
+    """A sampled sweep: the ``(N, 12)`` int64 count array.
 
     ``counts`` has one row per sweep point, in the column order of the module
     docstring, and ``fates`` is its first nine columns; every reader in the
-    package takes these columns.  Iterating yields one :class:`McPointResult`
+    package takes these columns.  Each row sums to the source's
+    ``n_time_bins``.  Iterating yields one :class:`McPointResult`
     per row, in row order, and exists only for ``benchmarks/tracer.py``.
     """
 
     counts: np.ndarray
-    n_bins: int
 
     # Identity equality: an array comparison has no single truth value.
     __eq__ = object.__eq__
@@ -205,7 +205,7 @@ class SweepCounts(_Record):
             for row in self.counts[start : start + _BLOCK_ROWS].tolist():
                 yield McPointResult(
                     counts=CoincidenceCounts(tuple(row[:9])),
-                    tally=SamplingTally(self.n_bins, sum(row[:10]), row[10], row[9]),
+                    tally=SamplingTally(sum(row), sum(row[:10]), row[10], row[9]),
                 )
 
 
@@ -278,7 +278,7 @@ def run_experiment(settings: np.ndarray, src: SourceParams) -> SweepCounts:
         raise ValueError("settings must be finite")
     counts = _sample_counts(settings, src)
     counts.flags.writeable = False
-    return SweepCounts(counts, src.n_time_bins)
+    return SweepCounts(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import functools
 import gc
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -190,6 +191,15 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             "config error: normalization must be one of ('analytic', 'measured'), "
             "got 'fancy'",
         ),
+        # sin(2 xi) would overflow: refused, not written as nan or a numpy error.
+        (
+            ["analytic", "--sweep", "phi=0:1:0.5", "--fix", "xi=1e308"],
+            "config error: fixed parameter 'xi': polarizer angle",
+        ),
+        (
+            ["montecarlo", "--sweep", "zeta=0:1e308:1e307", "--bins", "100"],
+            "config error: config key 'sweep.zeta': axis zeta: polarizer angle",
+        ),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -210,18 +220,27 @@ def test_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatc
     monkeypatch.delenv("NMZI_OUT_DIR", raising=False)
     (tmp_path / "taken").mkdir()
     (tmp_path / "scan.gp").mkdir()
+    # A rename over a FIFO would put a regular file in its place.
+    os.mkfifo(tmp_path / "pipe.csv")
+    os.mkfifo(tmp_path / "fifo.gp")
     for flags, fragment in [
         (["--out", "taken"], "taken is a directory"),
         (["--out", "nodir/x.csv"], "no directory nodir"),
         (["--gnuplot", "--out", "scan.csv"], "scan.gp is a directory"),
+        (["--out", "pipe.csv"], "pipe.csv is not a regular file"),
+        (["--gnuplot", "--out", "fifo.csv"], "fifo.gp is not a regular file"),
     ]:
         assert main(["analytic", "--preset", "fig2", *flags]) == 1
         assert f"config error: config key 'out': {fragment}" in capsys.readouterr().err
+    for name in ("pipe.csv", "fifo.gp"):
+        assert stat.S_ISFIFO(os.lstat(tmp_path / name).st_mode)
     # A default path in a missing NMZI_OUT_DIR is refused the same way.
     monkeypatch.setenv("NMZI_OUT_DIR", str(tmp_path / "missing"))
     assert main(["montecarlo", "--preset", "fig2"]) == 1
     assert "config error: config key 'out': no directory" in capsys.readouterr().err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["scan.gp", "taken"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "fifo.gp", "pipe.csv", "scan.gp", "taken"
+    ]
     assert list((tmp_path / "taken").iterdir()) == []
 
 

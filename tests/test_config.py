@@ -33,7 +33,7 @@ def test_parse_file_text():
     axis = config.sweep_axes[0]
     assert axis.name == "phi"
     assert axis.start == 0.0 and axis.step == 0.0628
-    assert config.fixed_values["psi"] == 0.0
+    assert dict(config.fixed)["psi"] == 0.0
     assert config.out_path == "run.csv"
     assert config.gnuplot is False
 
@@ -41,7 +41,7 @@ def test_parse_file_text():
 def test_overrides_win_over_file():
     config = parse_config(FILE_TEXT, {"out": "other.csv", "fix.psi": "1.5"})
     assert config.out_path == "other.csv"
-    assert config.fixed_values["psi"] == 1.5
+    assert dict(config.fixed)["psi"] == 1.5
     # untouched keys survive
     assert config.sweep_axes[0].name == "phi"
 
@@ -86,6 +86,14 @@ def test_bad_literals_name_the_key():
         parse_config("mode = montecarlo\npreset = fig2\nbins = 1e6\n")
     with pytest.raises(ConfigError, match="'gnuplot'"):
         parse_config("mode = analytic\npreset = fig2\ngnuplot = maybe\n")
+    with pytest.raises(ConfigError, match="config key 'mode': expected one of"):
+        parse_config("mode = foo\npreset = fig2\n")
+    with pytest.raises(ConfigError, match="config key 'angles': expected radians or degrees"):
+        parse_config("mode = analytic\npreset = fig2\nangles = gradians\n")
+    with pytest.raises(ConfigError, match="'sweep.phi': expected start:stop:step"):
+        parse_config("mode = analytic\nsweep.phi = 0:1\n")
+    with pytest.raises(ConfigError, match="'fix.xi': value must be finite"):
+        parse_config("mode = analytic\npreset = fig3\nfix.xi = inf\n")
 
 
 def test_missing_mode_and_missing_grid():
@@ -105,7 +113,7 @@ def test_degrees_directive_converts_to_radians():
     axis = degrees.sweep_axes[0]
     assert abs(axis.stop - 2.0 * math.pi) < 1e-12
     assert abs(axis.step - math.pi / 100.0) < 1e-12
-    assert abs(degrees.fixed_values["zeta"] - math.pi / 4.0) < 1e-12
+    assert abs(dict(degrees.fixed)["zeta"] - math.pi / 4.0) < 1e-12
     # Equivalent radians config parses to the same stored values.
     radians = parse_config(
         "mode = analytic\n"
@@ -254,11 +262,11 @@ def test_run_config_rejects_bad_fields():
 
 def test_build_sweep_spec_resolves_presets_and_axes():
     preset_spec = build_sweep_spec(RunConfig(mode="analytic", preset="fig2"))
-    assert preset_spec is PRESETS["fig2"]
+    assert preset_spec == PRESETS["fig2"]
     overridden = build_sweep_spec(
         RunConfig(mode="analytic", preset="fig2", fixed=(("zeta", -0.7853981633974483),))
     )
-    assert overridden.fixed["zeta"] == -0.7853981633974483
+    assert dict(overridden.fixed)["zeta"] == -0.7853981633974483
     assert overridden.axes == PRESETS["fig2"].axes
     explicit = build_sweep_spec(
         RunConfig(
@@ -280,7 +288,7 @@ def test_a_spec_keeps_a_read_only_copy_of_its_fixed_values():
     given = {"psi": 0.5, "theta": 0.25}
     copied = SweepSpec(axes=(SweepAxis("phi", 0.0, 1.0, 0.5),), fixed=given)
     given["psi"] = 1.0
-    assert copied.fixed["psi"] == 0.5
+    assert dict(copied.fixed)["psi"] == 0.5
     # Equal specs hash equal, whatever order the fixed values came in.
     same = SweepSpec(axes=copied.axes, fixed={"theta": 0.25, "psi": 0.5})
     assert same == copied and hash(same) == hash(copied)

@@ -6,6 +6,7 @@ synchronized ``sin^2(rho)`` and the polarizer-basis sum.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +270,25 @@ def test_sweep_rejects_bad_axes():
         SweepAxis("bogus", 0.0, 1.0, 0.1)
     with pytest.raises(ValueError, match="at least one axis"):
         SweepSpec(axes=(), fixed={})
+    phi = SweepAxis("phi", 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="unknown fixed parameter 'bogus'"):
+        SweepSpec(axes=(phi,), fixed={"bogus": 0.0})
+    with pytest.raises(ValueError, match="fixed parameter 'psi' must be finite"):
+        SweepSpec(axes=(phi,), fixed={"psi": math.nan})
+
+
+def test_polarizer_angles_are_bounded_where_doubling_overflows():
+    bound = sys.float_info.max / 2
+    # At the bound sin(2 xi) is finite, and so is every computed column.
+    assert np.isfinite(record_at(one_row(0.3, 1.1, bound, -bound))).all()
+    edge = SweepSpec((SweepAxis("xi", 0.0, bound, bound / 4),), {"theta": -bound})
+    assert np.isfinite(record_at(sweep_settings(edge))).all()
+    # Beyond it an axis is refused at its first point, as test_cli shows for
+    # its last point and for a fixed value.
+    with pytest.raises(ValueError, match="axis theta: polarizer angle"):
+        SweepAxis("theta", -1e308, 0.0, 1e307)
+    # Phases are not doubled, so they keep their range.
+    SweepSpec(axes=(SweepAxis("phi", 0.0, 1e308, 1e307),), fixed={"psi": 1e308})
 
 
 def test_point_count_is_known_before_expansion():

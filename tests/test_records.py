@@ -43,7 +43,7 @@ RECORDS = {
     "SamplingTally": lambda: SamplingTally(100, 7, 1, 0),
     "CoincidenceCounts": lambda: CoincidenceCounts(FATES),
     "McPointResult": lambda: McPointResult(CoincidenceCounts(FATES), TALLY),
-    "SweepCounts": lambda: SweepCounts(np.zeros((2, 12), dtype=np.int64), 100),
+    "SweepCounts": lambda: SweepCounts(np.zeros((2, 12), dtype=np.int64)),
     "ElementConventions": lambda: ElementConventions(mirror_phase=-1.0),
     "CheckResult": lambda: CheckResult("check", 0.0, 1e-12),
     "VerificationReport": lambda: VerificationReport((CheckResult("check", 0.0, 1e-12),)),
@@ -82,7 +82,7 @@ def test_record_fields_hash_and_defaults():
         RunConfig("analytic", mode="analytic")
     with pytest.raises(TypeError):
         SamplingTally(1, 2, 3, 4, 5)
-    # The default mapping is read-only, so specs cannot share a mutation.
+    # The fixed values are a tuple, so specs cannot share a mutation.
     with pytest.raises(TypeError):
         SweepSpec((AXIS,)).fixed["psi"] = 1.0
 
