@@ -16,15 +16,21 @@ Math. 18:224).  ``p`` is a whole number, and ``p + t`` is within 1e-13 of
 the exact product, so ``p + rint(t)`` is the correctly rounded digit string
 unless the product lies next to a half-integer.
 
-Three guards keep the text exact:
+The fast path takes a value only where that text is certain:
 
-- ``log10`` can be off by one next to a power of ten, so a product outside
-  ``[1e16, 1e17)`` moves ``E`` by one and is computed again;
-- rounding up to ``10**17`` gives ``10**16`` and adds one to ``E``;
-- a value whose ``t`` lies within 1e-6 of a half-integer (a tie or near
-  it), and any zero, subnormal, nan, infinity or ``|x|`` outside
-  ``[1e-250, 1e250]`` (where a split factor could overflow) is formatted
-  by CPython instead.
+- ``|x|`` lies in ``[1e-99, 1e99]``, so its exponent has two digits and no
+  split factor can overflow;
+- ``p`` lies at least 64 inside ``[1e16, 1e17)``.  ``|t|`` is at most
+  ``ulp(p) / 2 + x * |lo|``, about 2 at the bottom and 19 at the top, so
+  ``p + t`` is then inside too: ``E`` is right (``log10`` can be off by
+  one next to a power of ten, which puts ``p`` outside), and rounding
+  cannot carry to ``10**17``;
+- ``t`` lies at least 1e-6 from a half-integer, so a tie or a value near
+  one is not rounded on the product's error.
+
+CPython formats every other value: zeros, subnormals, nan and infinities,
+``|x|`` outside ``[1e-99, 1e99]``, products within the margin of either
+end, and near-ties.  A CSV of the presets sends a few of them per file.
 """
 
 from __future__ import annotations
@@ -36,15 +42,16 @@ _BATCH = 1024
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 _TIE_BAND = 1e-6
-_LOWEST, _HIGHEST = 1e-250, 1e250
-# |E| of a value in [1e-250, 1e250], with log10 off by one at the ends.
-_LARGEST_EXPONENT = 251
+_LOWEST, _HIGHEST = 1e-99, 1e99
+# |E| of a value in [1e-99, 1e99], with log10 off by one at the ends.
+_LARGEST_EXPONENT = 100
+# How far inside [1e16, 1e17) the rounded product must lie; |t| <= 19.
+_MARGIN = 64.0
 
 # Byte columns of one cell: sign, lead digit, ".", 16 digits, "e", exponent
-# sign, three exponent digits, the cell's end byte, and the "\0" that the
-# decoded text is split on.  The sign and the exponent's hundreds are
-# dropped where unused.
-_WIDTH = 26
+# sign, two exponent digits, the cell's end byte, and the "\0" that the
+# decoded text is split on.  The sign is dropped where unused.
+_WIDTH = 25
 
 
 def float_cells(values: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -56,7 +63,7 @@ def float_cells(values: np.ndarray, ends: np.ndarray) -> list[str]:
     values = np.ascontiguousarray(values, dtype=np.float64)
     ends = np.ascontiguousarray(ends, dtype=np.uint8)
     digits = _four_digit_groups()
-    # powers[:, E + 251] is 10**(16 - E) as (hi, lo), built on first use.
+    # powers[:, E + 100] is 10**(16 - E) as (hi, lo), built on first use.
     powers = np.zeros((2, 2 * _LARGEST_EXPONENT + 1))
     cells: list[str] = []
     for start in range(0, len(values), _BATCH):
@@ -78,18 +85,9 @@ def _batch_cells(
     x[~exact] = 1.0
     exponent = np.floor(np.log10(x)).astype(np.int64)
     p, t = _scaled(x, exponent, powers)
-    below, above = _outside(p, t)
-    moved = below | above
-    if moved.any():
-        exponent[moved] += np.where(above[moved], 1, -1)
-        p[moved], t[moved] = _scaled(x[moved], exponent[moved], powers)
-        below, above = _outside(p, t)
-        exact &= ~(below | above)
+    exact &= (p >= 1e16 + _MARGIN) & (p <= 1e17 - _MARGIN)
     exact &= np.abs(t - np.floor(t) - 0.5) >= _TIE_BAND
     q = p.astype(np.int64) + np.rint(t).astype(np.int64)
-    carried = q == 10**17
-    q[carried] = 10**16
-    exponent[carried] += 1
 
     groups = np.empty((len(q), 4), dtype=np.intp)
     for column in range(3, -1, -1):
@@ -104,14 +102,12 @@ def _batch_cells(
     cell[:, 3:19] = digits[groups].view(np.uint8)
     cell[:, 19] = ord("e")
     cell[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
-    cell[:, 21] = size // 100 + ord("0")
-    cell[:, 22] = size // 10 % 10 + ord("0")
-    cell[:, 23] = size % 10 + ord("0")
-    cell[:, 24] = ends
-    cell[:, 25] = 0
+    cell[:, 21] = size // 10 + ord("0")
+    cell[:, 22] = size % 10 + ord("0")
+    cell[:, 23] = ends
+    cell[:, 24] = 0
     used = np.ones(cell.shape, dtype=bool)
     used[:, 0] = np.signbit(values)
-    used[:, 21] = size >= 100
     text = cell[used].tobytes().decode("ascii").split("\0")
     text.pop()
     for i in np.flatnonzero(~exact).tolist():
@@ -119,19 +115,12 @@ def _batch_cells(
     return text
 
 
-def _outside(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``p + t`` lies below ``1e16``, and where at or above ``1e17``."""
-    below = (p < 1e16) | ((p == 1e16) & (t < 0.0))
-    above = (p > 1e17) | ((p == 1e17) & (t >= 0.0))
-    return below, above
-
-
 def _scaled(
     x: np.ndarray, exponent: np.ndarray, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``p + t ~ x * 10**(16 - exponent)``: ``p`` rounded, ``t`` the rest.
 
-    ``powers`` holds ``_power_of_ten(16 - E)`` at column ``E + 251``; the
+    ``powers`` holds ``_power_of_ten(16 - E)`` at column ``E + 100``; the
     columns of exponents met here for the first time are filled in.
     """
     column = exponent + _LARGEST_EXPONENT
@@ -153,15 +142,12 @@ def _scaled(
 
 def _power_of_ten(k: int) -> tuple[float, float]:
     """``10**k`` as ``hi + lo``: ``hi`` rounded from the exact value, ``lo`` the rest rounded."""
-    if k >= 0:
-        exact = 10**k
-        hi = float(exact)
-        return hi, float(exact - int(hi))
-    scale = 10**-k
-    hi = 1 / scale
-    numerator, denominator = hi.as_integer_ratio()
+    numerator, denominator = 10 ** max(k, 0), 10 ** max(-k, 0)
     # Integer true division rounds correctly.
-    return hi, (denominator - numerator * scale) / (denominator * scale)
+    hi = numerator / denominator
+    hi_numerator, hi_denominator = hi.as_integer_ratio()
+    rest = numerator * hi_denominator - hi_numerator * denominator
+    return hi, rest / (denominator * hi_denominator)
 
 
 def _four_digit_groups() -> np.ndarray:

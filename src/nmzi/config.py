@@ -86,6 +86,10 @@ class RunConfig(_Record):
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ConfigError(
+                f"config key 'preset': expected one of {tuple(PRESETS)}, got {self.preset!r}"
+            )
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(
                 f"normalization must be one of {NORMALIZATIONS}, "
@@ -197,10 +201,6 @@ def parse_config(
     to_radians = math.radians if angles == "degrees" else (lambda x: x)
 
     preset = raw.pop("preset", None)
-    if preset is not None and preset not in PRESETS:
-        raise ConfigError(
-            f"config key 'preset': expected one of {tuple(PRESETS)}, got {preset!r}"
-        )
 
     axes = []
     fixed = {}

@@ -140,12 +140,12 @@ class SweepSpec(_Record):
     fixed: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        self.__dict__["fixed"] = tuple(sorted(dict(self.fixed).items()))
+        given = tuple(self.fixed.items() if hasattr(self.fixed, "items") else self.fixed)
         if not self.axes:
             raise ValueError("sweep requires at least one axis")
         claimed: dict[str, str] = {}
         sources = [(axis.name, f"axis {axis.name}") for axis in self.axes]
-        for name, value in self.fixed:
+        for name, value in given:
             if name not in SWEEP_PARAMS:
                 raise ValueError(
                     f"unknown fixed parameter {name!r}, expected one of {SWEEP_PARAMS}"
@@ -161,6 +161,7 @@ class SweepSpec(_Record):
                         f"parameter {target!r} set twice (via {claimed[target]} and {source})"
                     )
                 claimed[target] = source
+        self.__dict__["fixed"] = tuple(sorted(given))
         if self.n_points > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep has {self.n_points} grid points, above the cap of "

@@ -252,6 +252,9 @@ def test_run_config_rejects_bad_fields():
         RunConfig(mode="interactive")
     with pytest.raises(ConfigError):
         RunConfig(mode="analytic", preset="fig2", normalization="fancy")
+    unknown = r"config key 'preset': expected one of \('fig2', 'fig3', 'fig4'\), got 'fig9'"
+    with pytest.raises(ConfigError, match=unknown):
+        RunConfig(mode="analytic", preset="fig9")
     with pytest.raises(ConfigError, match="conflicts"):
         RunConfig(
             mode="analytic",

@@ -312,6 +312,12 @@ def test_sweep_rejects_conflicting_aliases():
             axes=(SweepAxis("rho", 0.0, 1.0, 0.5),),
             fixed={"phi": 0.0, "zeta": QUARTER},
         )
+    # A repeated fixed pair is refused, not collapsed to its last value.
+    with pytest.raises(ValueError, match="set twice"):
+        SweepSpec(
+            axes=(SweepAxis("phi", 0.0, 1.0, 0.5),),
+            fixed=(("psi", 0.0), ("psi", 1.0)),
+        )
 
 
 def test_record_at_has_consistent_fields():

@@ -35,6 +35,14 @@ def _powers_of_ten():
     return np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)])
 
 
+def _near_powers_of_ten():
+    # Every double within 64 ulps of each 1e{k}, with both signs: the band
+    # just inside either end of the fast range, the 1e-99 and 1e99 edges too.
+    exact = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    near = (exact.view(np.int64)[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+    return np.concatenate([near, -near])
+
+
 def _integers_and_halves():
     whole = np.arange(200_001, dtype=np.float64)
     return np.concatenate([whole, -whole, whole + 0.5, -whole - 0.5])
@@ -69,6 +77,7 @@ def _specials():
 CASES = {
     "random_bits": _random_bits,
     "powers_of_ten": _powers_of_ten,
+    "near_powers_of_ten": _near_powers_of_ten,
     "integers_and_halves": _integers_and_halves,
     "range_edges": _range_edges,
     "specials": _specials,

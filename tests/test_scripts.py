@@ -41,3 +41,14 @@ def test_make_figures_with_monte_carlo(tmp_path):
     assert done.returncode == 0, done.stderr
     header = (out / "fig2.csv").read_text().splitlines()[0]
     assert header.endswith("R_hat_AD,stderr_AD,R_hat_BC,stderr_BC,n_pairs")
+
+
+def test_code_lines_counts_each_module_and_sums_them(tmp_path):
+    done = run_script("code_lines.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    *modules, total = (line.split() for line in done.stdout.splitlines())
+    assert sorted(name for _, name in modules) == sorted(
+        path.name for path in (ROOT / "src" / "nmzi").glob("*.py")
+    )
+    assert all(int(count) > 0 for count, _ in modules)
+    assert total == [str(sum(int(count) for count, _ in modules)), "total"]
