@@ -15,7 +15,9 @@ plus per-parameter keys ``sweep.<param> = start:stop:step`` and
 that read each key, and a key given to any other mode is refused: the
 source keys and ``normalization`` under ``analytic``; the grid, output,
 ``normalization`` and ``angles`` keys under ``verify``, whose Monte Carlo
-checks read the source keys.  A grid may have at most
+checks read the source keys, and refuse a source that expects fewer than
+10 post-selected pairs per check point (``bins e^-mu mu^2 / 2``, halved
+under ``binomial`` routing).  A grid may have at most
 ``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
 larger grid is rejected before any point is built, as is ``gnuplot = true``
 with more than two sweep axes.  A ``#`` at the start of a line or after
@@ -62,6 +64,11 @@ PARAM_KEYS = ("sweep", "fix")
 
 _DEFAULT_MU = 0.05
 _DEFAULT_BINS = 1_000_000
+
+# verify compares rates over each of its nine points' post-selected pairs.
+# Below this many expected, a point with no pair at all is likely; at it, a
+# pairless point among the nine has probability about 9 e^-10 = 4e-4.
+_MIN_VERIFY_PAIRS = 10
 
 _TRUE_WORDS = ("true", "yes", "on", "1")
 _FALSE_WORDS = ("false", "no", "off", "0")
@@ -236,6 +243,11 @@ def parse_config(
             source = SourceParams(mu, bins, seed, raw.pop("routing", "paired"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if mode == "verify" and source.expected_pairs < _MIN_VERIFY_PAIRS:
+            raise ConfigError(
+                f"config keys 'bins' and 'mu': {source.expected_pairs:.3g} expected "
+                f"post-selected pairs per verify point, below {_MIN_VERIFY_PAIRS}"
+            )
 
     normalization = raw.pop("normalization", "analytic")
     out_path = raw.pop("out", None)

@@ -8,9 +8,11 @@ fringe factor
     A: 1 - sin(2 xi) cos(phi)      B: 1 + sin(2 xi) cos(phi)
     C: 1 - sin(2 theta) cos(psi)   D: 1 + sin(2 theta) cos(psi)
 
-which :func:`fringe_factors` evaluates for every row at once; everything else
-derives from it.  A detector's intensity per unit input is a quarter of its
-factor.  The normalized coincidence correlation of two cross-station
+and :func:`record_at` evaluates every row at once; it is the one closed form,
+and everything else derives from its columns.  A detector's intensity per
+unit input is a quarter of its factor, and the four intensity columns are
+the detection probabilities of one photon, which the Monte Carlo sampler
+draws from.  The normalized coincidence correlation of two cross-station
 detectors is the product of their factors, i.e. the intensity product divided
 by the phase-averaged singles ``(1/4)^2``; its range is [0, 4].  In the
 synchronized case ``phi = psi = rho`` with ``xi = theta = +-pi/4`` it
@@ -67,14 +69,6 @@ def synchronized_settings(rho, zeta: float) -> np.ndarray:
     return np.stack([rho, rho, zeta, zeta], axis=1)
 
 
-def fringe_factors(settings: np.ndarray) -> np.ndarray:
-    """Fringe factors of detectors (A, B, C, D), in [0, 2], one row per setting."""
-    phi, psi, xi, theta = settings.T
-    alice = np.sin(2.0 * xi) * np.cos(phi)
-    bob = np.sin(2.0 * theta) * np.cos(psi)
-    return np.stack([1.0 - alice, 1.0 + alice, 1.0 - bob, 1.0 + bob], axis=1)
-
-
 def record_at(settings: np.ndarray) -> np.ndarray:
     """The computed CSV columns (``RECORD_COLUMNS``) for every row of ``settings``.
 
@@ -82,7 +76,10 @@ def record_at(settings: np.ndarray) -> np.ndarray:
     1/2, the other half being absorbed by the polarizer.  ``R_AD`` and
     ``R_BC`` are the products of the two detectors' factors.
     """
-    f = fringe_factors(settings)
+    phi, psi, xi, theta = settings.T
+    alice = np.sin(2.0 * xi) * np.cos(phi)
+    bob = np.sin(2.0 * theta) * np.cos(psi)
+    f = np.stack([1.0 - alice, 1.0 + alice, 1.0 - bob, 1.0 + bob], axis=1)
     return np.column_stack([f / 4.0, f[:, 0] * f[:, 3], f[:, 1] * f[:, 2]])
 
 

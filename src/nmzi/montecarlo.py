@@ -10,10 +10,11 @@ independently and rejects same-side pairs).
 Detection: a photon at Alice's station lands on detector A with probability
 ``(1 - sin 2xi cos phi) / 4``, on B with ``(1 + sin 2xi cos phi) / 4``, and is
 absorbed by the polarizer with probability exactly ``1/2``; Bob's side is
-symmetric with (theta, psi) and detectors C/D.  These are the fringe factors
-of :func:`nmzi.correlation.fringe_factors` over 4, evaluated once for the
-whole ``(N, 4)`` settings array.  The two photons are sampled independently
--- all correlation comes from the shared settings, none from the source.
+symmetric with (theta, psi) and detectors C/D.  These are the intensity
+columns ``i_A`` to ``i_D`` of :func:`nmzi.correlation.record_at`, the
+detection probabilities, evaluated once for the whole ``(N, 4)`` settings
+array.  The two photons are sampled independently -- all correlation comes
+from the shared settings, none from the source.
 
 Sampling: bins are independent and identically distributed, and so are the
 pairs, while the estimator reads only per-point totals.  Each sweep point
@@ -69,7 +70,7 @@ import warnings
 import numpy as np
 
 from . import _Record
-from .correlation import fringe_factors
+from .correlation import record_at
 
 DETECTORS = ("A", "B", "C", "D")
 
@@ -135,6 +136,13 @@ class SourceParams(_Record):
                 # Past __post_init__ and the record's __init__: the caller.
                 stacklevel=3,
             )
+
+    @property
+    def expected_pairs(self) -> float:
+        """Expected post-selected pairs per sweep point: ``n_time_bins`` times
+        the pair mass ``e^-mu mu^2 / 2``, halved under ``binomial`` routing."""
+        p_pair = _class_masses(self.mean_photon_number)[0]
+        return self.n_time_bins * p_pair * (0.5 if self.routing == "binomial" else 1.0)
 
 
 class SamplingTally(_Record):
@@ -246,7 +254,7 @@ def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
     keep = 0.5 if src.routing == "binomial" else 1.0
     # Each row's (A, B, loss) and (C, D, loss) landing probabilities.
     landing = np.full((len(settings), 2, 3), 0.5)
-    landing[:, :, :2] = (fringe_factors(settings) / 4.0).reshape(-1, 2, 2)
+    landing[:, :, :2] = record_at(settings)[:, :4].reshape(-1, 2, 2)
     counts = np.empty((len(settings), 12), dtype=np.int64)
     for block, start in enumerate(range(0, len(settings), _BLOCK_ROWS)):
         alice, bob = landing[start : start + _BLOCK_ROWS].transpose(1, 0, 2)

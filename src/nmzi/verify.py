@@ -1,13 +1,15 @@
 """Self-verification: run the model's identity checks and report deviations.
 
 Analytic checks exercise exact algebraic identities (tolerance 1e-12, or
-exactly zero where conservation is exact by construction).  Each is an array
-call on its whole check grid: of the closed-form kernel
-(:func:`nmzi.correlation.fringe_factors`), of the station models, or of the
-beam splitter, once per reflection phase.  The paper's special forms --
-``sin^2(rho)`` for synchronized stations and the ``+-pi/4`` basis sum of
-``1/2`` -- are restated here and checked against that kernel, not derived
-from it.
+exactly zero where conservation is exact by construction).  Each is a
+function returning the residual array of its identity, one array call on its
+whole check grid: of the closed form (:func:`nmzi.correlation.record_at`,
+whose intensity columns are the detection probabilities), of the station
+models, or of the beam splitter, once per reflection phase.
+:func:`run_verification` lists the eight once, and a check's deviation is
+its largest ``|residual|``.  The paper's special forms -- ``sin^2(rho)`` for
+synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are
+restated here and checked against that closed form, not derived from it.
 
 The Monte Carlo checks compare the photon counts of one draw, nine sweep
 points from the given source, with the closed forms.  Each compares a count
@@ -28,12 +30,7 @@ import math
 import numpy as np
 
 from . import _Record
-from .correlation import (
-    QUARTER_TURN,
-    fringe_factors,
-    record_at,
-    synchronized_settings,
-)
+from .correlation import QUARTER_TURN, RECORD_COLUMNS, record_at, synchronized_settings
 from .elements import (
     ALGEBRA_TOL,
     DEFAULT_CONVENTIONS,
@@ -96,20 +93,22 @@ def _grid(*columns) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _check_composed_station(conventions: ElementConventions) -> CheckResult:
+def _record(settings: np.ndarray) -> dict:
+    """:func:`record_at`'s columns, by their ``RECORD_COLUMNS`` names."""
+    return dict(zip(RECORD_COLUMNS, record_at(settings).T))
+
+
+def _composed_station_mismatch(conventions: ElementConventions) -> np.ndarray:
     phi, zeta, eta, e0 = _grid(_PHASES, _POL_ANGLES, [0.0, 0.7], [1.0, 0.5]).T
-    deviation = station_outputs_deviation(
+    return station_outputs_deviation(
         composed_station(phi, zeta, eta, e0, conventions),
         closed_form_station(phi, zeta, eta, e0),
     )
-    return CheckResult(
-        "composed station matches closed form", float(deviation.max()), ALGEBRA_TOL
-    )
 
 
-def _check_beam_splitter_unitarity() -> CheckResult:
+def _beam_splitter_energy_change() -> np.ndarray:
     rng = np.random.default_rng(1905)
-    worst = 0.0
+    changes = []
     for phase in (1j, -1j, 1.0, complex(math.cos(0.3), math.sin(0.3))):
         conventions = ElementConventions(bs_reflection_phase=phase)
         # Each row of four normals is one (upper, lower) pair of amplitudes.
@@ -117,18 +116,14 @@ def _check_beam_splitter_unitarity() -> CheckResult:
         out_upper, out_lower = beam_splitter_mix(upper, lower, conventions)
         before = np.abs(upper) ** 2 + np.abs(lower) ** 2
         after = np.abs(out_upper) ** 2 + np.abs(out_lower) ** 2
-        worst = max(worst, float(np.max(np.abs(after - before))))
-    return CheckResult("beam splitter conserves energy", worst, ALGEBRA_TOL)
+        changes.append(after - before)
+    return np.concatenate(changes)
 
 
-def _check_station_energy() -> CheckResult:
+def _station_energy_change() -> np.ndarray:
     phi, zeta = _grid(_PHASES, _POL_ANGLES).T
     unprojected = closed_form_station(phi, zeta, e0=0.8)[:, :4]
-    total = np.sum(np.abs(unprojected) ** 2, axis=1)
-    worst = np.max(np.abs(total - 0.8**2))
-    return CheckResult(
-        "station outputs carry the input energy", float(worst), ALGEBRA_TOL
-    )
+    return np.sum(np.abs(unprojected) ** 2, axis=1) - 0.8**2
 
 
 def _both_signs(rho: np.ndarray) -> np.ndarray:
@@ -138,66 +133,44 @@ def _both_signs(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_intensities_match_projections() -> CheckResult:
+def _intensity_projection_mismatch() -> np.ndarray:
     settings = _grid(_PHASES, _PHASES[::2], _POL_ANGLES, [0.6])
     # Phases (phi, psi) against polarizers (xi, theta): Alice's station, then
     # Bob's, whose projected amplitudes land on A, B and C, D.
     projected = closed_form_station(settings[:, :2], settings[:, 2:])[..., 4:]
-    worst = np.max(
-        np.abs(fringe_factors(settings) / 4.0 - np.abs(projected.reshape(-1, 4)) ** 2)
-    )
-    return CheckResult(
-        "detector intensities equal projected station amplitudes",
-        float(worst),
-        ALGEBRA_TOL,
-    )
+    return record_at(settings)[:, :4] - np.abs(projected.reshape(-1, 4)) ** 2
 
 
-def _check_correlation_product_identity() -> CheckResult:
-    records = record_at(_grid(_PHASES, _PHASES[::2], [0.5], [1.1]))
-    i_a, i_b, i_c, i_d, r_ad, r_bc = records.T
-    marginal_sq = (1.0 / 4.0) ** 2
-    worst = max(
-        np.max(np.abs(r_ad * marginal_sq - i_a * i_d)),
-        np.max(np.abs(r_bc * marginal_sq - i_b * i_c)),
-    )
-    return CheckResult(
-        "correlation times squared marginal equals intensity product",
-        float(worst),
-        ALGEBRA_TOL,
-    )
+def _product_identity_mismatch() -> np.ndarray:
+    r = _record(_grid(_PHASES, _PHASES[::2], [0.5], [1.1]))
+    marginal_sq = 0.25**2
+    ad = r["R_AD"] * marginal_sq - r["i_A"] * r["i_D"]
+    bc = r["R_BC"] * marginal_sq - r["i_B"] * r["i_C"]
+    return np.concatenate([ad, bc])
 
 
-def _check_synchronized_form() -> CheckResult:
+def _synchronized_form_mismatch() -> np.ndarray:
     # The paper's synchronized special form, restated: sin^2(rho) at either
     # polarizer sign.
     settings = _both_signs(np.linspace(0.0, 2.0 * math.pi, 97))
-    _, _, _, _, r_ad, _ = record_at(settings).T
-    worst = np.max(np.abs(r_ad - np.sin(settings[:, 0]) ** 2))
-    return CheckResult(
-        "synchronized correlation equals squared sine", float(worst), ALGEBRA_TOL
-    )
+    return _record(settings)["R_AD"] - np.sin(settings[:, 0]) ** 2
 
 
-def _check_probability_conservation() -> CheckResult:
+def _station_probability_excess() -> np.ndarray:
     phi = np.linspace(0.0, 2.0 * math.pi, 41)
     xi = np.linspace(-math.pi, math.pi, 37)
     settings = _grid(phi, [1.3], xi)
     settings = np.column_stack([settings, settings[:, 2]])  # theta = xi
-    p_a, p_b, p_c, p_d = (fringe_factors(settings) / 4.0).T
-    worst = max(np.max(np.abs(p_a + p_b - 0.5)), np.max(np.abs(p_c + p_d - 0.5)))
-    return CheckResult("detection probabilities conserve exactly", float(worst), 0.0)
+    r = _record(settings)
+    return np.concatenate([r["i_A"] + r["i_B"] - 0.5, r["i_C"] + r["i_D"] - 0.5])
 
 
-def _check_local_basis_sum() -> CheckResult:
+def _basis_sum_excess() -> np.ndarray:
     # The paper's basis sum, restated: a detector's intensity summed over the
     # polarizer bases +-pi/4 is 1/2 at every phase.
     settings = _both_signs(np.linspace(0.0, 2.0 * math.pi, 61))
-    plus, minus = np.split(fringe_factors(settings) / 4.0, 2)
-    worst = np.max(np.abs(plus + minus - 0.5))
-    return CheckResult(
-        "polarizer-basis sum hides the fringe locally", float(worst), ALGEBRA_TOL
-    )
+    plus, minus = np.split(record_at(settings)[:, :4], 2)
+    return plus + minus - 0.5
 
 
 def _binomial_z(k: int, n: int, p: float) -> float:
@@ -229,18 +202,16 @@ def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
     counts = run_experiment(settings, source).counts
     fates = counts[:, :9].tolist()
     n_post = [sum(row) for row in fates]
-    records = record_at(settings)
-    # Columns 0-3 are the landing probabilities at A-D, column 4 is R_AD.
+    r = _record(settings)
     convergence = max(
         _binomial_z(k, n, r_ad / 16.0)
         for k, n, r_ad in zip(
-            counts[:8, FATES.index("AD")].tolist(), n_post, records[:8, 4].tolist()
+            counts[:8, FATES.index("AD")].tolist(), n_post, r["R_AD"][:8].tolist()
         )
     )
     general = detector_singles(fates[8])
     singles = max(
-        _binomial_z(general[d], n_post[8], p)
-        for d, p in zip(DETECTORS, records[8, :4].tolist())
+        _binomial_z(general[d], n_post[8], r[f"i_{d}"][8].item()) for d in DETECTORS
     )
     mu = source.mean_photon_number
     # A row's pair bins are its nine fates plus its routing-rejected pairs.
@@ -270,15 +241,22 @@ def run_verification(
 
     The Monte Carlo checks sample from ``source``.
     """
-    checks = [
-        _check_composed_station(conventions),
-        _check_beam_splitter_unitarity(),
-        _check_station_energy(),
-        _check_intensities_match_projections(),
-        _check_correlation_product_identity(),
-        _check_synchronized_form(),
-        _check_probability_conservation(),
-        _check_local_basis_sum(),
-        *_check_montecarlo(source),
+    analytic = [
+        ("composed station matches closed form", ALGEBRA_TOL,
+         _composed_station_mismatch(conventions)),
+        ("beam splitter conserves energy", ALGEBRA_TOL, _beam_splitter_energy_change()),
+        ("station outputs carry the input energy", ALGEBRA_TOL, _station_energy_change()),
+        ("detector intensities equal projected station amplitudes", ALGEBRA_TOL,
+         _intensity_projection_mismatch()),
+        ("correlation times squared marginal equals intensity product", ALGEBRA_TOL,
+         _product_identity_mismatch()),
+        ("synchronized correlation equals squared sine", ALGEBRA_TOL,
+         _synchronized_form_mismatch()),
+        ("detection probabilities conserve exactly", 0.0, _station_probability_excess()),
+        ("polarizer-basis sum hides the fringe locally", ALGEBRA_TOL, _basis_sum_excess()),
     ]
-    return VerificationReport(checks=tuple(checks))
+    checks = [
+        CheckResult(name, float(np.max(np.abs(residual))), tolerance)
+        for name, tolerance, residual in analytic
+    ]
+    return VerificationReport(checks=(*checks, *_check_montecarlo(source)))

@@ -19,7 +19,6 @@ from nmzi.correlation import (
     QUARTER_TURN,
     RECORD_COLUMNS,
     SweepSpec,
-    fringe_factors,
     record_at,
     sweep_settings,
     synchronized_settings,
@@ -245,8 +244,9 @@ def test_7_photon_counting_reproduces_the_fringe(report):
     started = time.perf_counter()
     phases = [2.0 * math.pi * k / 8.0 for k in range(8)]
     points = synchronized_settings(phases, QUARTER_TURN)
-    truths = record_at(points)[:, 4].tolist()
-    probabilities = (fringe_factors(points) / 4.0).tolist()
+    records = record_at(points)
+    truths = records[:, 4].tolist()
+    probabilities = records[:, :4].tolist()
     source = SourceParams(
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nmzi import cli
+from nmzi import cli, verify
 from nmzi.cli import main
 from nmzi.config import _validate_key, parse_config
 from nmzi.elements import ElementConventions
@@ -200,6 +200,10 @@ def test_degrees_flag_reproduces_radian_run(tmp_path):
             ["montecarlo", "--sweep", "zeta=0:1e308:1e307", "--bins", "100"],
             "config error: config key 'sweep.zeta': axis zeta: polarizer angle",
         ),
+        # Too dim for verify's nine check points: refused before sampling.
+        (["verify", "--bins", "1000"], "config error: config keys 'bins' and 'mu'"),
+        (["verify", "--bins", "2"], "config error: config keys 'bins' and 'mu'"),
+        (["verify", "--mu", "1e-300"], "config error: config keys 'bins' and 'mu'"),
     ],
 )
 def test_usage_errors_exit_one(argv, fragment, tmp_path, capsys, monkeypatch):
@@ -242,6 +246,23 @@ def test_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatc
         "fifo.gp", "pipe.csv", "scan.gp", "taken"
     ]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_dim_verify_source_is_refused_before_sampling(capsys, monkeypatch):
+    def sample(settings, source):
+        raise AssertionError("the source was sampled")
+
+    monkeypatch.setattr(verify, "run_experiment", sample)
+    # 11.9 expected pairs per point under binomial routing at 20 000 bins is
+    # enough; 9.5 at 16 000 bins is not.
+    assert main(["verify", "--bins", "16000", "--routing", "binomial"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: config keys 'bins' and 'mu': 9.51 expected post-selected "
+        "pairs per verify point, below 10\n"
+    )
+    with pytest.raises(AssertionError, match="the source was sampled"):
+        main(["verify", "--bins", "20000", "--routing", "binomial"])
 
 
 def test_verify_passes_and_prints_one_line_per_check(capsys):

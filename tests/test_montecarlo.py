@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
-from nmzi.correlation import QUARTER_TURN, fringe_factors, synchronized_settings
+from nmzi.correlation import QUARTER_TURN, record_at, synchronized_settings
 from nmzi.montecarlo import (
     DETECTORS,
     ESTIMATE_COLUMNS,
@@ -217,7 +217,7 @@ def test_binomial_routing_variant():
 def test_detection_probabilities_conserve_exactly(phi, psi, xi, theta):
     s = np.array([[phi, psi, xi, theta]])
     # The per-photon landing probabilities the sampler draws from.
-    p = dict(zip(DETECTORS, (fringe_factors(s)[0] / 4.0).tolist()))
+    p = dict(zip(DETECTORS, record_at(s)[0, :4].tolist()))
     for detector in DETECTORS:
         assert 0.0 <= p[detector] <= 0.5
     # Each photon reaches its two detectors or the polarizer absorbs it;

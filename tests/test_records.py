@@ -4,7 +4,8 @@ Every record class derives from ``nmzi._Record``: fields by position or
 keyword, immutability, field equality within one class, and a repr that
 names the class.  ``import nmzi.cli`` must load neither the Jones model
 (``verify``, ``station``, ``elements``), the CSV float kernel (``_digits``)
-nor any dataclass.
+nor any dataclass, and neither the import nor a whole ``nmzi analytic`` run
+may load ``numpy.random`` or ``nmzi.verify``.
 """
 
 import json
@@ -89,22 +90,34 @@ def test_record_fields_hash_and_defaults():
 
 def test_sweep_path_import_loads_no_jones_model_and_no_dataclass():
     probe = (
-        "import json, sys\n"
+        "import json, os, sys, tempfile\n"
         "import nmzi.cli\n"
         "modules = [m for m in sys.modules if m == 'nmzi' or m.startswith('nmzi.')]\n"
         "generated = [f'{m}.{name}' for m in modules\n"
         "             for name, obj in vars(sys.modules[m]).items()\n"
         "             if isinstance(obj, type) and hasattr(obj, '__dataclass_fields__')]\n"
-        "print(json.dumps({'modules': modules, 'generated': generated}))\n"
+        "lazy = ('numpy.random', 'nmzi.verify')\n"
+        "after_import = [m for m in lazy if m in sys.modules]\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    out = os.path.join(tmp, 'fig2.csv')\n"
+        "    status = nmzi.cli.main(['analytic', '--preset', 'fig2', '--out', out])\n"
+        "after_run = [m for m in lazy if m in sys.modules]\n"
+        "print(json.dumps({'modules': modules, 'generated': generated, 'status': status,\n"
+        "                  'after_import': after_import, 'after_run': after_run}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    loaded = json.loads(done.stdout.splitlines()[-1])
     assert "nmzi.cli" in loaded["modules"]
     # The CSV float kernel loads on the first csv_rows call.
     for heavy in ("nmzi.verify", "nmzi.station", "nmzi.elements", "nmzi._digits"):
         assert heavy not in loaded["modules"]
     assert loaded["generated"] == []
+    # Neither the import nor a whole analytic run loads the sampler's
+    # generators (numpy.random, with secrets and OpenSSL) or the checks.
+    assert loaded["status"] == 0
+    assert loaded["after_import"] == []
+    assert loaded["after_run"] == []

@@ -136,9 +136,9 @@ def _deviations():
 def test_montecarlo_checks_catch_swapped_detectors(monkeypatch):
     # Negative control: the sampler routes Bob's photons to D where the
     # closed form says C, and back.
-    fringe_factors = nmzi.montecarlo.fringe_factors
+    record_at = nmzi.montecarlo.record_at
     monkeypatch.setattr(
-        nmzi.montecarlo, "fringe_factors", lambda s: fringe_factors(s)[:, [0, 1, 3, 2]]
+        nmzi.montecarlo, "record_at", lambda s: record_at(s)[:, [0, 1, 3, 2, 4, 5]]
     )
     deviations = _deviations()
     assert deviations[MC_CHECKS[0]] == math.inf
