@@ -29,8 +29,8 @@ def main() -> int:
     parser.add_argument(
         "--bins", type=int, default=2_000_000, help="time bins per grid point"
     )
-    parser.add_argument("--mu", type=float, default=0.05, help="mean photons per bin")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument("--mu", type=float, help="mean photons per bin (default: the CLI's)")
+    parser.add_argument("--seed", type=int, help="sampling seed (default: the CLI's)")
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -39,8 +39,10 @@ def main() -> int:
         argv = ["analytic", "--preset", name, "--out", csv_path, "--gnuplot"]
         if args.with_mc and len(spec.axes) == 1:
             argv[0] = "montecarlo"
-            argv += ["--bins", str(args.bins), "--mu", str(args.mu)]
-            argv += ["--seed", str(args.seed)]
+            argv += ["--bins", str(args.bins)]
+            for flag in ("mu", "seed"):
+                if getattr(args, flag) is not None:
+                    argv += [f"--{flag}", str(getattr(args, flag))]
         code = nmzi_main(argv)
         if code:
             return code

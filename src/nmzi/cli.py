@@ -186,7 +186,7 @@ def _run_sweep_mode(config: RunConfig) -> int:
     mc_columns = None
     if config.mode == "montecarlo":
         mc_columns = estimate_columns(
-            run_experiment(settings, config.source).fates, config.normalization
+            run_experiment(records[:, :4], config.source).fates, config.normalization
         )
     emit_csv(settings, records, out_path, mc_columns)
     if config.gnuplot:

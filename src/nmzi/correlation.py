@@ -115,6 +115,14 @@ class SweepAxis(_Record):
             )
         # The first and last grid points, the last as sweep_settings computes it.
         last = self.start + (self.count - 1) * self.step
+        # Below the spacing of doubles at the larger end, start + k * step
+        # repeats values there: the grid would not carry the step asked for.
+        spacing = math.ulp(max(abs(self.start), abs(last)))
+        if self.count > 1 and self.step < spacing:
+            raise ValueError(
+                f"axis {self.name}: step {self.step!r} is below the spacing "
+                f"{spacing!r} of doubles at its grid values"
+            )
         _check_polarizer_angle(f"axis {self.name}", self.name, self.start, last)
 
     @property

@@ -7,14 +7,14 @@ tallied separately.  Each surviving pair sends one photon to each station
 (configurable: a ``binomial`` routing variant lets every photon pick a side
 independently and rejects same-side pairs).
 
-Detection: a photon at Alice's station lands on detector A with probability
-``(1 - sin 2xi cos phi) / 4``, on B with ``(1 + sin 2xi cos phi) / 4``, and is
-absorbed by the polarizer with probability exactly ``1/2``; Bob's side is
-symmetric with (theta, psi) and detectors C/D.  These are the intensity
-columns ``i_A`` to ``i_D`` of :func:`nmzi.correlation.record_at`, the
-detection probabilities, evaluated once for the whole ``(N, 4)`` settings
-array.  The two photons are sampled independently -- all correlation comes
-from the shared settings, none from the source.
+Detection: the sampler is given, for each sweep point, the four detection
+probabilities ``i_A, i_B, i_C, i_D`` of one photon, as an ``(N, 4)`` array.
+A photon at Alice's station lands on detector A with probability ``i_A``, on
+B with ``i_B``, and is absorbed by the polarizer with probability exactly
+``1/2 = 1 - i_A - i_B``; Bob's photon does the same with ``i_C``, ``i_D``.
+The caller takes these from the closed form, so this module never evaluates
+it.  The two photons are sampled independently -- all correlation comes from
+the shared probabilities, none from the source.
 
 Sampling: bins are independent and identically distributed, and so are the
 pairs, while the estimator reads only per-point totals.  Each sweep point
@@ -55,8 +55,8 @@ Reproducibility: the sweep is cut into blocks of 1024 rows, aligned to the
 row index, and block ``b`` samples its rows in order from one generator on
 ``SeedSequence(rng_seed, spawn_key=(b,))``, the ``b``-th child that
 ``SeedSequence(rng_seed).spawn`` would give.  A point's counts depend on the
-seed, on its row position, and on the settings of the earlier rows in its
-1024-row block: numpy's binomial is a rejection sampler, so the uniforms a
+seed, on its row position, and on the probabilities of the earlier rows in
+its 1024-row block: numpy's binomial is a rejection sampler, so the uniforms a
 row consumes depend on its probabilities.  Each point is still exactly
 distributed and independent of the others, prefix sweeps stay bit-identical,
 and results are bit-identical for a given seed.
@@ -70,7 +70,6 @@ import warnings
 import numpy as np
 
 from . import _Record
-from .correlation import record_at
 
 DETECTORS = ("A", "B", "C", "D")
 
@@ -95,7 +94,7 @@ _MU_WARNING_THRESHOLD = 0.5
 _MULTI_SERIES_BELOW = 0.01
 
 # Sweep rows per generator.  Part of the output contract: a row's counts
-# follow from the settings of the earlier rows in its block.
+# follow from the probabilities of the earlier rows in its block.
 _BLOCK_ROWS = 1024
 
 
@@ -244,7 +243,7 @@ def _class_masses(mu: float) -> list[float]:
     return [p_pair, p_multi, p_low]
 
 
-def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
+def _sample_counts(probabilities: np.ndarray, src: SourceParams) -> np.ndarray:
     """The ``(N, 12)`` int64 class counts of a sweep, one row per point.
 
     Columns: the nine fates in ``FATES`` order, the routing-rejected pairs,
@@ -253,10 +252,10 @@ def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
     p_pair, p_multi, p_low = _class_masses(src.mean_photon_number)
     keep = 0.5 if src.routing == "binomial" else 1.0
     # Each row's (A, B, loss) and (C, D, loss) landing probabilities.
-    landing = np.full((len(settings), 2, 3), 0.5)
-    landing[:, :, :2] = record_at(settings)[:, :4].reshape(-1, 2, 2)
-    counts = np.empty((len(settings), 12), dtype=np.int64)
-    for block, start in enumerate(range(0, len(settings), _BLOCK_ROWS)):
+    landing = np.full((len(probabilities), 2, 3), 0.5)
+    landing[:, :, :2] = probabilities.reshape(-1, 2, 2)
+    counts = np.empty((len(probabilities), 12), dtype=np.int64)
+    for block, start in enumerate(range(0, len(probabilities), _BLOCK_ROWS)):
         alice, bob = landing[start : start + _BLOCK_ROWS].transpose(1, 0, 2)
         pvals = np.empty((len(alice), 12))
         fates = (alice[:, :, None] * bob[:, None, :]).reshape(-1, 9)
@@ -270,21 +269,28 @@ def _sample_counts(settings: np.ndarray, src: SourceParams) -> np.ndarray:
     return counts
 
 
-def run_experiment(settings: np.ndarray, src: SourceParams) -> SweepCounts:
-    """Sample the class counts of an ``(N, 4)`` settings array, one row per point.
+def run_experiment(probabilities: np.ndarray, src: SourceParams) -> SweepCounts:
+    """Sample the class counts of a sweep, one row per point.
+
+    ``probabilities`` is the sweep's ``(N, 4)`` detection probabilities
+    ``i_A, i_B, i_C, i_D`` (module docstring).  They must be finite and
+    non-negative, and each station's pair must sum to exactly 1/2, the
+    absorbed half this module assumes; anything else raises ``ValueError``.
 
     Deterministic for a fixed seed.  Rows are sampled in blocks of 1024,
     aligned to the row index, one generator per block, so a point's counts
-    depend on the seed, on its row position, and on the settings of the
+    depend on the seed, on its row position, and on the probabilities of the
     earlier rows in its 1024-row block.  Each point is still exactly
     distributed and independent of the others, and a prefix of a sweep
     reproduces the leading rows bit for bit.
     """
-    if len(settings) == 0:
-        raise ValueError("settings sweep is empty")
-    if not np.isfinite(settings).all():
-        raise ValueError("settings must be finite")
-    counts = _sample_counts(settings, src)
+    p = probabilities
+    # Each test runs only where the ones before it hold: inf + -inf would warn.
+    if not (p.shape[1:] == (4,) and len(p) and (np.isfinite(p) & (p >= 0.0)).all()
+            and (p[:, ::2] + p[:, 1::2] == 0.5).all()):
+        raise ValueError("detection probabilities must be finite, non-negative (N, 4) "
+                         "rows whose station pairs each sum to exactly 1/2")
+    counts = _sample_counts(p, src)
     counts.flags.writeable = False
     return SweepCounts(counts)
 

@@ -12,7 +12,9 @@ synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are
 restated here and checked against that closed form, not derived from it.
 
 The Monte Carlo checks compare the photon counts of one draw, nine sweep
-points from the given source, with the closed forms.  Each compares a count
+points from the given source, with the closed forms.  One ``record_at`` call
+gives both the sampler's detection probabilities and the expected values the
+counts are compared with.  Each compares a count
 ``k`` of ``n`` trials with its closed-form probability ``p`` by one rule,
 ``|k/n - p| / sqrt(p (1 - p) / n)``, so a point that counted nothing is
 measured in the truth's sigma, not in its own +-0 error bar; the tolerances
@@ -199,19 +201,19 @@ def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
     settings = np.concatenate(
         [synchronized_settings(_PHASES, QUARTER_TURN), [_GENERAL_POINT]]
     )
-    counts = run_experiment(settings, source).counts
+    records = record_at(settings)
+    counts = run_experiment(records[:, :4], source).counts
     fates = counts[:, :9].tolist()
     n_post = [sum(row) for row in fates]
-    r = _record(settings)
+    r_ad = records[:8, RECORD_COLUMNS.index("R_AD")].tolist()
     convergence = max(
-        _binomial_z(k, n, r_ad / 16.0)
-        for k, n, r_ad in zip(
-            counts[:8, FATES.index("AD")].tolist(), n_post, r["R_AD"][:8].tolist()
-        )
+        _binomial_z(k, n, r / 16.0)
+        for k, n, r in zip(counts[:8, FATES.index("AD")].tolist(), n_post, r_ad)
     )
     general = detector_singles(fates[8])
     singles = max(
-        _binomial_z(general[d], n_post[8], r[f"i_{d}"][8].item()) for d in DETECTORS
+        _binomial_z(general[d], n_post[8], p)
+        for d, p in zip(DETECTORS, records[8, :4].tolist())
     )
     mu = source.mean_photon_number
     # A row's pair bins are its nine fates plus its routing-rejected pairs.

@@ -250,7 +250,7 @@ def test_7_photon_counting_reproduces_the_fringe(report):
     source = SourceParams(
         mean_photon_number=0.05, n_time_bins=90_000_000, rng_seed=20260815
     )
-    fates = run_experiment(points, source).fates
+    fates = run_experiment(record_at(points)[:, :4], source).fates
     r_hat, std_error, *_ = estimate_columns(fates, "analytic")
     worst_z = 0.0
     worst_singles_z = 0.0
@@ -298,7 +298,8 @@ def test_8_pair_bin_fraction_matches_poisson_mass(report):
         source = SourceParams(
             mean_photon_number=mu, n_time_bins=2_000_000, rng_seed=3
         )
-        counts = run_experiment(synchronized_settings(1.0, QUARTER_TURN), source).counts
+        point = record_at(synchronized_settings(1.0, QUARTER_TURN))[:, :4]
+        counts = run_experiment(point, source).counts
         n_pair_bins = sum(counts[0, :10].tolist())
         p2 = math.exp(-mu) * mu * mu / 2.0
         sigma = math.sqrt(source.n_time_bins * p2 * (1.0 - p2))

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from nmzi.cli import main
 from nmzi.config import (
     ConfigError,
     RunConfig,
@@ -181,6 +182,22 @@ def test_source_validation_surfaces_as_config_error():
         parse_config("mode = montecarlo\npreset = fig2\nmu = -1\n")
     with pytest.raises(ConfigError, match="routing"):
         parse_config("mode = montecarlo\npreset = fig2\nrouting = quantum\n")
+
+
+def test_sub_resolution_step_is_a_config_error(tmp_path, capsys):
+    # Accepted, this axis wrote 101 rows holding 51 distinct phi values.
+    out = tmp_path / "sub.csv"
+    argv = ["analytic", "--sweep", "phi=1e16:1.00000000000001e16:1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: config key 'sweep.phi': axis phi: step 1.0 is below the "
+        "spacing 2.0 of doubles at its grid values\n"
+    )
+    assert not out.exists()
+    # A step of exactly one ulp there is accepted.
+    argv[2] = "phi=1e16:1.00000000000002e16:2"
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 102
 
 
 def test_removed_streams_key_is_named():

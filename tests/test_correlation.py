@@ -273,6 +273,23 @@ def test_sweep_rejects_bad_axes():
         SweepSpec(axes=(phi,), fixed={"psi": math.nan})
 
 
+def test_sweep_steps_below_the_spacing_of_doubles_are_refused():
+    # Doubles at 1e16 are 2 apart.  A step of exactly one ulp keeps every
+    # grid value, each 2 above the last.
+    one_ulp = SweepAxis("phi", 1e16, 1.00000000000002e16, 2.0)
+    phi = sweep_settings(SweepSpec((one_ulp,)))[:, 0]
+    assert len(phi) == 101 and (np.diff(phi) == 2.0).all()
+    # A step of 1 repeats the first value.  A step of 1.5 keeps the first two
+    # and last two values apart but repeats 16 values between them, so the
+    # step is compared with the spacing, not the end values with each other.
+    grid = 1e16 + np.arange(67) * 1.5
+    assert grid[0] != grid[1] and grid[-2] != grid[-1]
+    assert len(set(grid.tolist())) == 51
+    for start, step in [(1e16, 1.0), (1e16, 1.5), (-1e16, 1.0)]:
+        with pytest.raises(ValueError, match=f"axis psi: step {step!r} is below the spacing 2.0"):
+            SweepAxis("psi", start, start + 100.0, step)
+
+
 def test_polarizer_angles_are_bounded_where_doubling_overflows():
     bound = sys.float_info.max / 2
     # At the bound sin(2 xi) is finite, and so is every computed column.

@@ -8,6 +8,7 @@ Statistical checks use fixed seeds and 4-sigma (single draw) or exact binomial
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ def run_single_point(settings, mu=0.2, n_bins=600_000, seed=101, **kw):
     src = SourceParams(
         mean_photon_number=mu, n_time_bins=n_bins, rng_seed=seed, **kw
     )
-    return run_experiment(settings, src).counts
+    return run_experiment(record_at(settings)[:, :4], src).counts
 
 
 def estimate_ad(counts):
@@ -456,7 +457,7 @@ def test_measured_normalization_close_to_analytic():
     phases = [2.0 * math.pi * k / 8.0 for k in range(8)]
     points = synchronized_settings(phases, QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1_000_000, rng_seed=83)
-    fates = run_experiment(points, src).fates
+    fates = run_experiment(record_at(points)[:, :4], src).fates
     r_analytic, _, _, _, n_analytic = estimate_columns(fates, "analytic")
     r_measured, se_measured, _, _, n_measured = estimate_columns(fates, "measured")
     assert n_analytic.tolist() == n_measured.tolist()
@@ -473,8 +474,8 @@ def test_measured_normalization_close_to_analytic():
 def test_run_experiment_preserves_grid_and_determinism():
     points = synchronized_settings([0.4, 1.2, 2.0, 2.8], QUARTER_TURN)
     src = SourceParams(mean_photon_number=0.2, n_time_bins=200_000, rng_seed=91)
-    first = run_experiment(points, src)
-    second = run_experiment(points, src)
+    first = run_experiment(record_at(points)[:, :4], src)
+    second = run_experiment(record_at(points)[:, :4], src)
     assert first.counts.shape == (len(points), 12)
     assert np.array_equal(first.counts, second.counts)
     for c1, c2 in zip(
@@ -486,7 +487,7 @@ def test_run_experiment_preserves_grid_and_determinism():
     # Rows are sampled in 1024-row blocks aligned to the row index, one
     # generator per block, so a shorter sweep repeats the leading points
     # exactly.
-    prefix = run_experiment(points[:2], src)
+    prefix = run_experiment(record_at(points[:2])[:, :4], src)
     assert np.array_equal(prefix.counts, first.counts[:2])
 
 
@@ -496,13 +497,53 @@ def test_run_experiment_rejects_empty_sweep():
         run_experiment(np.empty((0, 4)), src)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_run_experiment_rejects_non_finite_settings(bad):
+def probabilities_with(value: float) -> np.ndarray:
+    """Two rows of closed-form probabilities, one entry replaced by ``value``."""
+    probabilities = record_at(synchronized_settings([0.0, 1.0], QUARTER_TURN))[:, :4]
+    probabilities[1, 2] = value
+    return probabilities
+
+
+# Arrays the sampler must refuse, each for one reason.  The settings have
+# its shape, but their station pairs sum to 0 and pi/2, not 1/2.
+NOT_PROBABILITIES = {
+    "nan": probabilities_with(math.nan),
+    "inf": probabilities_with(math.inf),
+    "-inf": probabilities_with(-math.inf),
+    "empty": np.empty((0, 4)),
+    "one_dimension": np.full(4, 0.25),
+    "whole_record": record_at(synchronized_settings([0.0, 1.0], QUARTER_TURN)),
+    "settings": synchronized_settings([0.0, 1.0], QUARTER_TURN),
+    "negative": np.array([[-0.25, 0.75, 0.25, 0.25]]),
+    # Alice's pair sums to 0.5 + 2**-53, Bob's to 0.5 - 2**-54.
+    "pair_above_half": np.array([[0.25, math.nextafter(0.5, 1.0) - 0.25, 0.25, 0.25]]),
+    "pair_below_half": np.array([[0.25, 0.25, 0.25, math.nextafter(0.5, 0.0) - 0.25]]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PROBABILITIES)
+def test_run_experiment_refuses_bad_probabilities(name):
     src = SourceParams(mean_photon_number=0.1, n_time_bins=1000, rng_seed=1)
-    settings = synchronized_settings([0.0, 1.0], QUARTER_TURN)
-    settings[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        run_experiment(settings, src)
+        run_experiment(NOT_PROBABILITIES[name], src)
+
+
+# Phases keep their full range; a polarizer angle is bounded where sin(2 xi)
+# would overflow, as SweepAxis and SweepSpec bound it.
+_PHASE = st.floats(allow_nan=False, allow_infinity=False)
+_POLARIZER = st.floats(-sys.float_info.max / 2, sys.float_info.max / 2)
+
+
+@given(st.lists(st.tuples(_PHASE, _PHASE, _POLARIZER, _POLARIZER), min_size=1, max_size=8))
+@example([(0.0, math.pi, QUARTER_TURN, -QUARTER_TURN)])
+def test_closed_form_probabilities_always_pass_the_sampler_check(rows):
+    # Each station's pair of the closed form sums to exactly 1/2 at every
+    # finite setting, so the sampler never refuses the program's own input.
+    probabilities = record_at(np.array(rows))[:, :4]
+    assert (probabilities[:, 0] + probabilities[:, 1] == 0.5).all()
+    assert (probabilities[:, 2] + probabilities[:, 3] == 0.5).all()
+    src = SourceParams(mean_photon_number=0.1, n_time_bins=10, rng_seed=1)
+    assert run_experiment(probabilities, src).counts.shape == (len(rows), 12)
 
 
 @pytest.mark.parametrize("routing", ROUTING_MODES)
@@ -515,7 +556,7 @@ def test_row_view_matches_count_array(routing):
     src = SourceParams(
         mean_photon_number=0.2, n_time_bins=n_bins, rng_seed=17, routing=routing
     )
-    sweep = run_experiment(settings, src)
+    sweep = run_experiment(record_at(settings)[:, :4], src)
     counts = sweep.counts
     assert counts.shape == (n_rows, 12) and counts.dtype == np.int64
     assert (counts.sum(axis=1) == n_bins).all()
@@ -583,7 +624,7 @@ def test_two_sigma_coverage_over_seeds_is_nominal():
     # dark points are not gated here.
     rho, n_seeds = 1.0, 2000
     truth = math.sin(rho) ** 2
-    point = synchronized_settings(rho, QUARTER_TURN)
+    point = record_at(synchronized_settings(rho, QUARTER_TURN))[:, :4]
     rows = []
     for seed in range(n_seeds):
         src = SourceParams(
@@ -604,7 +645,7 @@ def test_two_sigma_coverage_over_seeds_is_nominal():
 
 
 def test_std_error_scales_as_inverse_sqrt_pairs():
-    point = synchronized_settings(1.0, QUARTER_TURN)
+    point = record_at(synchronized_settings(1.0, QUARTER_TURN))[:, :4]
     ratios = []
     for seed in range(10):
         small = SourceParams(

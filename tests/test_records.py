@@ -5,7 +5,9 @@ keyword, immutability, field equality within one class, and a repr that
 names the class.  ``import nmzi.cli`` must load neither the Jones model
 (``verify``, ``station``, ``elements``), the CSV float kernel (``_digits``)
 nor any dataclass, and neither the import nor a whole ``nmzi analytic`` run
-may load ``numpy.random`` or ``nmzi.verify``.
+may load ``numpy.random`` or ``nmzi.verify``.  The sampler is handed its
+detection probabilities: ``import nmzi.montecarlo`` leaves the closed form
+unloaded, and a Monte Carlo run or check evaluates ``record_at`` once.
 """
 
 import json
@@ -17,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nmzi.cli import main
 from nmzi.config import RunConfig
-from nmzi.correlation import SweepAxis, SweepSpec
+from nmzi.correlation import SweepAxis, SweepSpec, record_at
 from nmzi.elements import ElementConventions
 from nmzi.montecarlo import (
     CoincidenceCounts,
@@ -27,7 +30,7 @@ from nmzi.montecarlo import (
     SourceParams,
     SweepCounts,
 )
-from nmzi.verify import CheckResult, VerificationReport
+from nmzi.verify import CheckResult, VerificationReport, _check_montecarlo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -121,3 +124,38 @@ def test_sweep_path_import_loads_no_jones_model_and_no_dataclass():
     assert loaded["status"] == 0
     assert loaded["after_import"] == []
     assert loaded["after_run"] == []
+
+
+def test_sampler_import_leaves_the_closed_form_unloaded():
+    probe = (
+        "import json, sys\n"
+        "import nmzi.montecarlo\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('nmzi')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "nmzi.montecarlo" in loaded
+    assert "nmzi.correlation" not in loaded
+
+
+def test_a_monte_carlo_run_and_check_evaluate_the_closed_form_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(settings):
+        calls.append(len(settings))
+        return record_at(settings)
+
+    # Every name a loaded nmzi module binds to the closed form.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nmzi") and getattr(module, "record_at", None) is record_at:
+            monkeypatch.setattr(module, "record_at", counted)
+    out = str(tmp_path / "mc.csv")
+    assert main(["montecarlo", "--preset", "fig2", "--bins", "20000", "--out", out]) == 0
+    assert calls == [201]
+    calls.clear()
+    _check_montecarlo(SourceParams(0.05, 1_000_000))
+    assert calls == [9]

@@ -10,6 +10,7 @@ repeat its rows, and no block may reach into the next.
 import numpy as np
 import pytest
 
+from nmzi.correlation import record_at
 from nmzi.montecarlo import FATES, SourceParams, run_experiment
 from test_sampler_reference import (
     ALPHA,
@@ -34,7 +35,7 @@ def random_settings(n_rows: int, seed: int) -> np.ndarray:
 
 def row_tables(settings: np.ndarray, row: int, src: SourceParams):
     """Bin classes, routing (kept, rejected) and fates of one sampled row."""
-    counts = run_experiment(settings, src).counts[row].tolist()
+    counts = run_experiment(record_at(settings)[:, :4], src).counts[row].tolist()
     bins = [counts[11], sum(counts[:10]), counts[10]]
     return bins, [sum(counts[:9]), counts[9]], counts[:9]
 
@@ -89,7 +90,7 @@ def test_adjacent_rows_of_a_block_are_independent(offset):
     # Equal settings make the rows identically distributed.
     settings = np.repeat(POINTS["generic"], 4 * BLOCK_ROWS, axis=0)
     src = SourceParams(MU, REJECTION_BINS, rng_seed=3, routing="binomial")
-    counts = run_experiment(settings, src).counts
+    counts = run_experiment(record_at(settings)[:, :4], src).counts
     statistics = {
         "pair bins": counts[:, :10].sum(axis=1),
         "multi bins": counts[:, 10],
@@ -107,14 +108,14 @@ def test_adjacent_rows_of_a_block_are_independent(offset):
 def test_blocks_do_not_reach_into_each_other():
     settings = random_settings(BLOCK_ROWS + 476, seed=5)
     src = SourceParams(MU, REJECTION_BINS, rng_seed=7, routing="binomial")
-    whole = run_experiment(settings, src)
-    prefix = run_experiment(settings[:BLOCK_ROWS], src)
+    whole = run_experiment(record_at(settings)[:, :4], src)
+    prefix = run_experiment(record_at(settings[:BLOCK_ROWS])[:, :4], src)
     assert np.array_equal(prefix.counts, whole.counts[:BLOCK_ROWS])
     # A shifted stream can fall back into step within tens of rows, so the
     # change sits at the last row of block 0.
     changed = settings.copy()
     changed[BLOCK_ROWS - 1] = POINTS["dark_C"][0]
-    again = run_experiment(changed, src)
+    again = run_experiment(record_at(changed)[:, :4], src)
     last = BLOCK_ROWS - 1
     assert not np.array_equal(again.counts[last], whole.counts[last])
     assert np.array_equal(again.counts[BLOCK_ROWS:], whole.counts[BLOCK_ROWS:])

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from nmzi.config import build_sweep_spec, parse_config
-from nmzi.correlation import sweep_settings
+from nmzi.correlation import record_at, sweep_settings
 from nmzi.montecarlo import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,7 +94,7 @@ def assert_traced_totals_equal_column_sums(trace, argv):
     overrides = {flag[2:]: value for flag, value in zip(argv[1::2], argv[2::2])}
     config = parse_config(None, {"mode": argv[0], **overrides})
     settings = sweep_settings(build_sweep_spec(config))
-    counts = run_experiment(settings, config.source).counts
+    counts = run_experiment(record_at(settings)[:, :4], config.source).counts
     observed = trace["observed"]["cli.run_experiment"]
     totals = {
         "points": len(counts),

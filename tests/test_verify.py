@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import nmzi.montecarlo
 from nmzi import verify
 from nmzi.config import parse_config
+from nmzi.correlation import record_at, synchronized_settings
 from nmzi.elements import ElementConventions
 from nmzi.montecarlo import SourceParams
 from nmzi.verify import (
@@ -105,16 +107,19 @@ def test_report_is_deterministic_for_a_given_source():
 def test_montecarlo_checks_read_one_draw_of_nine_rows(monkeypatch):
     calls = []
 
-    def counted(settings, source):
-        calls.append(settings.copy())
-        return nmzi.montecarlo.run_experiment(settings, source)
+    def counted(probabilities, source):
+        calls.append(probabilities.copy())
+        return nmzi.montecarlo.run_experiment(probabilities, source)
 
     monkeypatch.setattr(verify, "run_experiment", counted)
     run_verification(DEFAULT_SOURCE)
-    assert [len(settings) for settings in calls] == [9]
-    synchronized, general = calls[0][:8], calls[0][8]
-    assert (synchronized[:, 0] == synchronized[:, 1]).all()
-    assert general.tolist() == [0.9, 1.7, math.pi / 4.0, 0.6]
+    assert [len(probabilities) for probabilities in calls] == [9]
+    # Eight synchronized phases, then the general point.
+    rows = np.concatenate([
+        synchronized_settings([2.0 * math.pi * k / 8.0 for k in range(8)], math.pi / 4.0),
+        [[0.9, 1.7, math.pi / 4.0, 0.6]],
+    ])
+    assert np.array_equal(calls[0], record_at(rows)[:, :4])
 
 
 @pytest.mark.parametrize("bins", [20_000, 200_000])
@@ -136,9 +141,9 @@ def _deviations():
 def test_montecarlo_checks_catch_swapped_detectors(monkeypatch):
     # Negative control: the sampler routes Bob's photons to D where the
     # closed form says C, and back.
-    record_at = nmzi.montecarlo.record_at
+    run_experiment = nmzi.montecarlo.run_experiment
     monkeypatch.setattr(
-        nmzi.montecarlo, "record_at", lambda s: record_at(s)[:, [0, 1, 3, 2, 4, 5]]
+        verify, "run_experiment", lambda p, source: run_experiment(p[:, [0, 1, 3, 2]], source)
     )
     deviations = _deviations()
     assert deviations[MC_CHECKS[0]] == math.inf
