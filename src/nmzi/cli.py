@@ -6,22 +6,21 @@ Three subcommands::
     nmzi montecarlo  same grid, plus photon-counting estimates side by side
     nmzi verify      run the invariant checks and report pass/fail
 
-Grids come from ``--preset fig2|fig3|fig4`` or explicit
-``--sweep param=start:stop:step`` / ``--fix param=value`` flags, optionally
-seeded from a ``--config`` file (flags win).  Each flag's argparse ``dest``
-is the config key it sets (``--degrees`` sets ``angles = degrees``,
-``--gnuplot`` sets ``gnuplot = true``); ``--sweep P=...`` and ``--fix P=...``
-set ``sweep.P`` and ``fix.P``, and naming one parameter twice is refused.
-Any other flag may be given once, as a key may appear once in a config
-file.  A subcommand takes the flags of the keys its mode reads
-(``config.KEY_MODES``).  Only ``--config`` steers the CLI itself.  Angle
-values are converted on the way in; everything is stored and written in
-radians.  ``verify`` always runs its Monte Carlo checks, on the source that
-``--mu``, ``--bins``, ``--seed`` and ``--routing`` describe.
+A grid comes from a preset or from explicit sweep and fix flags,
+optionally seeded from a ``--config`` file (flags win).  Each subcommand
+takes the flags of the keys its mode reads, as ``config.KEYS`` lists them,
+and a flag's argparse ``dest`` is the config key it sets; a flag without a
+value sets its key to the flag's ``const``.  The sweep and fix flags take
+``PARAM=VALUE`` and set ``sweep.PARAM`` and ``fix.PARAM``, and naming one
+parameter twice is refused.  Any other flag may be given once, as a key
+may appear once in a config file.  Only ``--config`` steers the CLI
+itself.  Angle values are converted on the way in; everything is stored
+and written in radians.  ``verify`` always runs its Monte Carlo checks, on
+the source that the source keys describe.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
-failure.  ``NMZI_OUT_DIR`` names the default output directory when ``--out``
-is not given.
+failure.  ``NMZI_OUT_DIR`` names the default output directory when the
+``out`` key is not given.
 
 The ``nmzi`` script and ``python -m nmzi.cli`` both enter through
 :func:`run`, which calls :func:`main` and then freezes the heap
@@ -43,7 +42,7 @@ import sys
 import warnings
 from typing import NoReturn, Sequence
 
-from .config import KEY_MODES, PARAM_KEYS, ConfigError, RunConfig, build_sweep_spec, parse_config
+from .config import KEYS, PARAM_KEYS, ConfigError, RunConfig, build_sweep_spec, parse_config
 from .correlation import record_at, sweep_settings
 from .montecarlo import estimate_columns, run_experiment
 from .output import emit_csv, emit_gnuplot
@@ -74,28 +73,6 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values if self.const is None else self.const)
 
 
-# Each config key's flag spelling and argparse options; the flag's ``dest``
-# is the key.  A subcommand gets the flags of the keys its mode reads
-# (``KEY_MODES``), in this order.
-_FLAGS = {
-    "preset": ("--preset", dict(help="named sweep: fig2, fig3, or fig4")),
-    "sweep": ("--sweep", dict(action="append", metavar="PARAM=START:STOP:STEP",
-                              help="sweep axis; repeatable, row-major in the order given")),
-    "fix": ("--fix", dict(action="append", metavar="PARAM=VALUE",
-                          help="hold a parameter fixed; repeatable")),
-    "out": ("--out", dict(help="output CSV path")),
-    "angles": ("--degrees", dict(nargs=0, const="degrees",
-                                 help="interpret angle values (sweep/fix) as degrees")),
-    "gnuplot": ("--gnuplot", dict(nargs=0, const="true",
-                                  help="also write a gnuplot script next to the CSV")),
-    "mu": ("--mu", dict(help="mean photon number per time bin")),
-    "bins": ("--bins", dict(help="number of time bins")),
-    "seed": ("--seed", dict(help="run seed (unsigned 64-bit)")),
-    "routing": ("--routing", dict(help="pair routing: paired or binomial")),
-    "normalization": ("--normalization", dict(help="coincidence normalization: analytic or "
-                                                   "measured (default analytic)")),
-}
-
 _MODE_HELP = {
     "analytic": "closed-form sweep to CSV",
     "montecarlo": "photon-counting sweep to CSV",
@@ -113,8 +90,8 @@ def _build_parser() -> _Parser:
     for mode, summary in _MODE_HELP.items():
         mode_parser = sub.add_parser(mode, help=summary)
         mode_parser.add_argument("--config", help="flat key = value config file")
-        for key, (flag, options) in _FLAGS.items():
-            if mode in KEY_MODES[key]:
+        for key, (modes, _, flag, options) in KEYS.items():
+            if flag and mode in modes:
                 mode_parser.add_argument(flag, dest=key, **{"action": _Once, **options})
     return parser
 
@@ -135,10 +112,11 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         if value is None or key == "config":
             continue
         if key in PARAM_KEYS:
+            flag = KEYS[key][2]
             for item in value:
-                name, text = _split_assignment(f"--{key}", item)
+                name, text = _split_assignment(flag, item)
                 if f"{key}.{name}" in overrides:
-                    raise ConfigError(f"--{key} gives {name!r} twice")
+                    raise ConfigError(f"{flag} gives {name!r} twice")
                 overrides[f"{key}.{name}"] = text
         else:
             overrides[key] = value

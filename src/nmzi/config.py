@@ -1,23 +1,14 @@
 """Run configuration: a flat ``key = value`` text format plus CLI overrides.
 
-The grammar is intentionally small.  Scalar keys::
-
-    mode = analytic | montecarlo | verify
-    preset = fig2 | fig3 | fig4
-    mu / bins / seed / routing   (source parameters)
-    normalization = analytic | measured
-    out = <path>
-    gnuplot = true | false
-    angles = radians | degrees
-
-plus per-parameter keys ``sweep.<param> = start:stop:step`` and
-``fix.<param> = value`` for explicit grids.  ``KEY_MODES`` names the modes
-that read each key, and a key given to any other mode is refused: the
-source keys and ``normalization`` under ``analytic``; the grid, output,
-``normalization`` and ``angles`` keys under ``verify``, whose Monte Carlo
-checks read the source keys, and refuse a source that expects fewer than
-10 post-selected pairs per check point (``bins e^-mu mu^2 / 2``, halved
-under ``binomial`` routing).  A grid may have at most
+The grammar is intentionally small: one ``key = value`` per line, plus
+per-parameter keys ``sweep.<param> = start:stop:step`` and
+``fix.<param> = value`` for explicit grids.  ``KEYS`` is the one statement
+of each key: the modes that read it, its default and its CLI flag.  A key
+given to any other mode is refused, and an absent key takes its default,
+converted as a given value would be.  ``verify``'s Monte Carlo checks read
+the source keys and refuse a source that expects fewer than 10
+post-selected pairs per check point (``bins e^-mu mu^2 / 2``, halved under
+``binomial`` routing).  A grid may have at most
 ``MAX_GRID_POINTS`` (10^7) points; the count comes from the axes, so a
 larger grid is rejected before any point is built, as is ``gnuplot = true``
 with more than two sweep axes.  A ``#`` at the start of a line or after
@@ -46,24 +37,40 @@ from .montecarlo import NORMALIZATIONS, SourceParams
 
 MODES = ("analytic", "montecarlo", "verify")
 
-# The modes that read each config key (for ``sweep.<param>`` and
-# ``fix.<param>``, the part before the dot).  Any other mode refuses the key
+_SWEEP_MODES = ("analytic", "montecarlo")
+_SOURCE_MODES = ("montecarlo", "verify")
+
+# Each config key (for ``sweep.<param>`` and ``fix.<param>``, the part before
+# the dot), in the CLI's flag order: the modes that read it, its default as
+# config text (None: no default), and its flag with the flag's argparse
+# options; the flag's ``dest`` is the key.  Any other mode refuses the key
 # rather than silently ignoring it: only the sweep modes read a grid or write
-# a file, and only the modes that sample photons read the source keys.  The
-# CLI gives each subcommand the flags of the keys its mode reads.
-KEY_MODES = {
-    "mode": MODES,
-    **dict.fromkeys(
-        ("preset", "sweep", "fix", "out", "gnuplot", "angles"), ("analytic", "montecarlo")
-    ),
-    **dict.fromkeys(("mu", "bins", "seed", "routing"), ("montecarlo", "verify")),
-    "normalization": ("montecarlo",),
+# a file, and only the modes that sample photons read the source keys.  Each
+# subcommand takes the flags of the keys its mode reads.
+KEYS = {
+    "mode": (MODES, None, None, {}),
+    "preset": (_SWEEP_MODES, None, "--preset", dict(help="named sweep: fig2, fig3, or fig4")),
+    "sweep": (_SWEEP_MODES, None, "--sweep", dict(
+        action="append", metavar="PARAM=START:STOP:STEP",
+        help="sweep axis; repeatable, row-major in the order given")),
+    "fix": (_SWEEP_MODES, None, "--fix", dict(
+        action="append", metavar="PARAM=VALUE", help="hold a parameter fixed; repeatable")),
+    "out": (_SWEEP_MODES, None, "--out", dict(help="output CSV path")),
+    "angles": (_SWEEP_MODES, "radians", "--degrees", dict(
+        nargs=0, const="degrees", help="interpret angle values (sweep/fix) as degrees")),
+    "gnuplot": (_SWEEP_MODES, "false", "--gnuplot", dict(
+        nargs=0, const="true", help="also write a gnuplot script next to the CSV")),
+    "mu": (_SOURCE_MODES, "0.05", "--mu", dict(help="mean photon number per time bin")),
+    "bins": (_SOURCE_MODES, "1000000", "--bins", dict(help="number of time bins")),
+    "seed": (_SOURCE_MODES, "0", "--seed", dict(help="run seed (unsigned 64-bit)")),
+    "routing": (_SOURCE_MODES, "paired", "--routing", dict(
+        help="pair routing: paired or binomial")),
+    "normalization": (("montecarlo",), "analytic", "--normalization", dict(
+        help="coincidence normalization: analytic or measured (default analytic)")),
 }
+KEY_MODES = {key: row[0] for key, row in KEYS.items()}
 # The keys that take a parameter name after a dot.
 PARAM_KEYS = ("sweep", "fix")
-
-_DEFAULT_MU = 0.05
-_DEFAULT_BINS = 1_000_000
 
 # verify compares rates over each of its nine points' post-selected pairs.
 # Below this many expected, a point with no pair at all is likely; at it, a
@@ -199,15 +206,16 @@ def parse_config(
     for key in raw:
         if mode not in KEY_MODES[key.partition(".")[0]]:
             raise ConfigError(f"config key {key!r} does not apply to mode {mode!r}")
+    for key, (modes, default, _, _) in KEYS.items():
+        if mode in modes and default is not None:
+            raw.setdefault(key, default)
 
-    angles = raw.pop("angles", "radians")
-    if angles not in ("radians", "degrees"):
+    angles = raw.pop("angles", None)
+    if angles not in (None, "radians", "degrees"):
         raise ConfigError(
             f"config key 'angles': expected radians or degrees, got {angles!r}"
         )
     to_radians = math.radians if angles == "degrees" else (lambda x: x)
-
-    preset = raw.pop("preset", None)
 
     axes = []
     fixed = {}
@@ -229,18 +237,18 @@ def parse_config(
             param = key[len("fix."):]
             fixed[param] = to_radians(_as_float(key, raw.pop(key)))
 
-    if preset is None and not axes and mode in KEY_MODES["preset"]:
+    if "preset" not in raw and not axes and mode in KEY_MODES["preset"]:
         raise ConfigError(
             "no sweep specified: give 'preset' or at least one 'sweep.<param>'"
         )
 
     source = None
     if mode in KEY_MODES["mu"]:
-        mu = _as_float("mu", raw.pop("mu", str(_DEFAULT_MU)))
-        bins = _as_int("bins", raw.pop("bins", str(_DEFAULT_BINS)))
-        seed = _as_int("seed", raw.pop("seed", "0"))
+        mu = _as_float("mu", raw.pop("mu"))
+        bins = _as_int("bins", raw.pop("bins"))
+        seed = _as_int("seed", raw.pop("seed"))
         try:
-            source = SourceParams(mu, bins, seed, raw.pop("routing", "paired"))
+            source = SourceParams(mu, bins, seed, raw.pop("routing"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if mode == "verify" and source.expected_pairs < _MIN_VERIFY_PAIRS:
@@ -248,20 +256,17 @@ def parse_config(
                 f"config keys 'bins' and 'mu': {source.expected_pairs:.3g} expected "
                 f"post-selected pairs per verify point, below {_MIN_VERIFY_PAIRS}"
             )
+    if "gnuplot" in raw:
+        raw["gnuplot"] = _as_bool("gnuplot", raw["gnuplot"])
 
-    normalization = raw.pop("normalization", "analytic")
-    out_path = raw.pop("out", None)
-    gnuplot = _as_bool("gnuplot", raw.pop("gnuplot", "false"))
-
+    # What is left are the keys named as RunConfig's fields, and ``out``.
     return RunConfig(
         mode=mode,
-        preset=preset,
         sweep_axes=tuple(axes),
         fixed=tuple(sorted(fixed.items())),
         source=source,
-        normalization=normalization,
-        out_path=out_path,
-        gnuplot=gnuplot,
+        out_path=raw.pop("out", None),
+        **raw,
     )
 
 

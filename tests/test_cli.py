@@ -407,7 +407,7 @@ def test_config_keys_a_mode_does_not_read_exit_one(tmp_path, capsys):
 
 
 # The exact option strings each subcommand accepts, stated here apart from
-# config.KEY_MODES so that a slip in the mapping shows.
+# the config.KEYS table so that a slip in the table shows.
 MODE_FLAGS = {
     "analytic": ["--config", "--preset", "--sweep", "--fix", "--out", "--degrees", "--gnuplot"],
     "montecarlo": [

@@ -1,0 +1,185 @@
+"""Each row of ``config.KEYS``: a key's flag sets what its file line sets, and
+every config the table allows survives its canonical text."""
+
+import math
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nmzi import cli
+from nmzi.config import KEYS, MODES, canonical_config_text, parse_config
+from nmzi.correlation import PRESETS, SWEEP_PARAMS
+from test_cli import KEY_FLAG_VALUE
+
+# A value each key accepts that differs from KEY_FLAG_VALUE's.
+OTHER_VALUE = {
+    "preset": "fig3",
+    "sweep.phi": "0:2:0.5",
+    "fix.psi": "1",
+    "out": "y.csv",
+    "angles": "radians",
+    "gnuplot": "false",
+    "mu": "0.1",
+    "bins": "200",
+    "seed": "2",
+    "routing": "binomial",
+    "normalization": "analytic",
+}
+# The flags that take no value: each sets its key to KEY_FLAG_VALUE's value.
+BARE_FLAGS = ("--degrees", "--gnuplot")
+
+
+def _base_entries(mode: str, key: str) -> dict:
+    """Entries that make ``mode`` runnable and show ``key``'s value."""
+    if mode == "verify":
+        # Enough pairs per point at KEY_FLAG_VALUE's and OTHER_VALUE's bins.
+        return {} if key == "mu" else {"mu": "1"}
+    # An angle in a fix entry shows whether --degrees converted it.
+    base = {"fix.zeta": "30"}
+    if key not in ("preset", "sweep.phi"):
+        base["preset"] = "fig2"
+    return base
+
+
+def _load(mode, tmp_path, entries, flag_args=()):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    args = cli._build_parser().parse_args([mode, "--config", str(cfg), *flag_args])
+    return cli._load_config(args)
+
+
+# verify's base source (mu = 1) is outside the strongly attenuated regime.
+@pytest.mark.filterwarnings("ignore:mean photon number")
+@pytest.mark.parametrize(
+    "mode, key",
+    [
+        (mode, key)
+        for key in KEY_FLAG_VALUE
+        for mode in KEYS[key.partition(".")[0]][0]
+    ],
+)
+def test_a_flag_sets_what_its_file_line_sets_and_wins_over_it(mode, key, tmp_path):
+    flag, value = KEY_FLAG_VALUE[key]
+    param = key.partition(".")[2]
+    if flag in BARE_FLAGS:
+        flag_args = [flag]
+    else:
+        flag_args = [flag, f"{param}={value}" if param else value]
+    base = _base_entries(mode, key)
+    from_file = _load(mode, tmp_path, {**base, key: value})
+    from_flag = _load(mode, tmp_path, base, flag_args)
+    assert from_flag == from_file
+    other = _load(mode, tmp_path, {**base, key: OTHER_VALUE[key]})
+    assert other != from_flag
+    assert _load(mode, tmp_path, {**base, key: OTHER_VALUE[key]}, flag_args) == from_flag
+
+
+# Every word the gnuplot key reads, in any letter case.
+_GNUPLOT_WORDS = ("true", "yes", "on", "1", "false", "no", "off", "0")
+_PARAMS = st.sampled_from(SWEEP_PARAMS)
+
+
+@st.composite
+def _word_in_any_case(draw, words):
+    word = draw(st.sampled_from(words))
+    return "".join(draw(st.sampled_from((c.lower(), c.upper()))) for c in word)
+
+
+@st.composite
+def _sweep_entries(draw):
+    entries = {}
+    for param in draw(st.lists(_PARAMS, min_size=1, max_size=2, unique=True)):
+        start = draw(st.floats(-1e3, 1e3))
+        step = draw(st.floats(1e-3, 10.0))
+        stop = start + step * draw(st.integers(1, 6))
+        entries[f"sweep.{param}"] = f"{start!r}:{stop!r}:{step!r}"
+    return entries
+
+
+def _is_one_line_value(value: str) -> bool:
+    # One config line carries it: no line break, no surrounding whitespace,
+    # and no ``#`` that a reader would take for a comment.
+    return (
+        value.splitlines() == [value]
+        and value.strip() == value
+        and not value.startswith("#")
+        and not any(value[i - 1].isspace() and value[i] == "#" for i in range(1, len(value)))
+    )
+
+
+# Valid values of each key but the grid keys, which are drawn together.
+VALUES = {
+    "fix": st.dictionaries(
+        _PARAMS.map(lambda p: f"fix.{p}"),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        min_size=1,
+        max_size=3,
+    ),
+    "out": st.text(min_size=1, max_size=20).filter(_is_one_line_value),
+    "angles": st.sampled_from(("radians", "degrees")),
+    "gnuplot": _word_in_any_case(_GNUPLOT_WORDS),
+    "mu": st.floats(1e-300, 50.0).map(repr),
+    "bins": st.integers(1, 2**63 - 1).map(str),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "routing": st.sampled_from(("paired", "binomial")),
+    "normalization": st.sampled_from(("analytic", "measured")),
+}
+_GRID_KEYS = ("preset", "sweep")
+
+
+def test_every_key_but_mode_has_a_value_strategy():
+    assert set(VALUES) | set(_GRID_KEYS) == set(KEYS) - {"mode"}
+
+
+def _min_verify_bins(entries: dict) -> float:
+    """The fewest bins at which verify expects 10 post-selected pairs per
+    point: ``bins e^-mu mu^2 / 2``, halved under binomial routing."""
+    mu = float(entries.get("mu", KEYS["mu"][1]))
+    per_bin = math.exp(-mu) * mu * mu / 2.0
+    if entries.get("routing", KEYS["routing"][1]) == "binomial":
+        per_bin /= 2.0
+    return 10.0 / per_bin * (1.0 + 1e-9) if per_bin else math.inf
+
+
+@st.composite
+def config_entries(draw):
+    mode = draw(st.sampled_from(MODES))
+    entries = {"mode": mode}
+    if mode in KEYS["preset"][0]:
+        if draw(st.booleans()):
+            entries["preset"] = draw(st.sampled_from(sorted(PRESETS)))
+        else:
+            entries.update(draw(_sweep_entries()))
+    for key, strategy in VALUES.items():
+        if mode in KEYS[key][0] and draw(st.booleans()):
+            value = draw(strategy)
+            entries.update(value if isinstance(value, dict) else {key: value})
+    if mode == "verify":
+        # Only a source above verify's floor of 10 pairs per point is valid.
+        least = _min_verify_bins(entries)
+        if least >= 2**63:
+            entries.pop("mu")
+            least = _min_verify_bins(entries)
+        if "bins" in entries or int(KEYS["bins"][1]) < least:
+            entries["bins"] = str(draw(st.integers(math.ceil(least), 2**63 - 1)))
+    return entries
+
+
+# The first draw of an ``out`` path in a fresh checkout builds hypothesis's
+# unicode table, which takes about a second.
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(config_entries())
+def test_every_config_the_table_allows_survives_its_canonical_text(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = parse_config(text)
+        assert parse_config(canonical_config_text(config)) == config
+    # The one warning a valid config may raise, once per parse.
+    strong = config.source is not None and config.source.mean_photon_number > 0.5
+    assert [str(w.message).startswith("mean photon number") for w in caught] == [True] * (
+        2 if strong else 0
+    )
+

@@ -4,7 +4,7 @@ import math
 import re
 from pathlib import Path
 
-from nmzi.config import KEY_MODES
+from nmzi.config import KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,9 +21,26 @@ def test_python_api_block_runs():
     assert namespace["n_pairs"][1] == namespace["fates"][1].sum()
 
 
-def test_config_key_table_names_each_key_and_the_modes_that_read_it():
+# A row of the README's key table: key, flag cell, modes, default cell.
+KEY_ROW = re.compile(r"^\| `([a-z]+)(?:\.<param>)?` \| (.*?) \| ([a-z, ]+) \| (.*?) \|$", re.M)
+# A flag cell: the option string, its metavar if any, and the value a flag
+# without one sets.
+FLAG_CELL = re.compile(r"`(--[a-z]+)(?: ([^`]+))?`(?: \(sets `([^`]+)`\))?")
+
+
+def test_config_key_table_states_each_key_as_config_keys_does():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Config files"):text.index("### CSV schema")]
-    rows = re.findall(r"^\| `([a-z]+)(?:\.<param>)?` \|[^|]*\| ([a-z, ]+) \|", section, re.M)
-    assert {key: tuple(modes.split(", ")) for key, modes in rows} == KEY_MODES
-    assert len(rows) == len(KEY_MODES)
+    rows = KEY_ROW.findall(section)
+    assert sorted(key for key, *_ in rows) == sorted(KEYS)
+    for key, flag_cell, modes, default_cell in rows:
+        key_modes, default, flag, options = KEYS[key]
+        assert tuple(modes.split(", ")) == key_modes, key
+        if flag is None:
+            assert flag_cell == "the subcommand", key
+        else:
+            cell = FLAG_CELL.fullmatch(flag_cell)
+            assert cell is not None, (key, flag_cell)
+            assert cell.groups() == (flag, options.get("metavar"), options.get("const")), key
+        if default is not None:
+            assert default_cell == default, key
