@@ -148,6 +148,9 @@ def _run_sweep_mode(config: RunConfig) -> int:
     script_path = stem + ".gp"
     if config.gnuplot and extension.lower() == ".gp":
         raise ConfigError(f"config key 'out': the gnuplot script would overwrite {out_path}")
+    # The script names the CSV inside one line of its plot command.
+    if config.gnuplot and out_path.splitlines() != [out_path]:
+        raise ConfigError(f"config key 'out': a gnuplot script cannot name {out_path!r}")
     written = [out_path, script_path] if config.gnuplot else [out_path]
     # Refused before the sweep is expanded, not after its rows are rendered.
     for path in written:

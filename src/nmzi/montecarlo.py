@@ -49,7 +49,10 @@ Carlo CSV columns at once, with no per-point Python object on the way.  The
 AD and BC coincidence proportions, normalized by the product of singles
 marginals (``1/4`` each analytically, or sweep-averaged measured rates),
 converge to the closed forms in :mod:`nmzi.correlation` with a plain
-binomial standard error.
+binomial standard error.  Where counts leave no estimate -- a point with no
+pair, a dark detector or a whole sweep without pairs under ``measured``
+normalization -- the estimate is ``nan``, from ``0 / 0`` in the same
+expressions, and the sweep runs on.
 
 Reproducibility: the sweep is cut into blocks of 1024 rows, aligned to the
 row index, and block ``b`` samples its rows in order from one generator on
@@ -312,12 +315,16 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
     product of the two detectors' singles rates averaged over the whole sweep
     (their sampling error is not propagated -- a documented approximation).
 
-    A point with no post-selected pair has ``n = 0`` and ``nan`` in the four
+    Both pairs go through the same two expressions, and a missing estimate
+    is ``nan`` by IEEE arithmetic, never by a branch.  A point with no
+    post-selected pair has ``n = 0``, so ``0 / 0`` puts ``nan`` in its four
     estimate columns, and the sweep runs on.  Under ``measured``
-    normalization a pair with a detector that never fires in the sweep has a
-    zero denominator, so its ``R_hat`` and ``stderr`` are ``nan`` on every
-    row; the other pair is unaffected.  ``measured`` raises only when the
-    sweep has no pair at all.
+    normalization a detector that never fires in the sweep has a zero
+    marginal; every coincidence of its pair is then 0 as well, so that
+    pair's ``R_hat`` and ``stderr`` are ``0 / 0 = nan`` on every row, and the
+    other pair is unaffected.  A sweep with no pair at all has zero
+    marginals for every detector and ``nan`` in all four estimate columns,
+    as under ``analytic`` normalization.
 
     Each column is one array operation over int64 counts, in the order the
     formulas read; IEEE division and square root round correctly, so every
@@ -334,21 +341,15 @@ def estimate_columns(fates: np.ndarray, normalization: str) -> tuple[np.ndarray,
     else:
         # Sweep totals as Python ints: an int64 sum over many points can wrap.
         totals = [sum(column) for column in fates.T.tolist()]
-        total_pairs = sum(totals)
-        if total_pairs == 0:
-            raise ValueError("no post-selected pairs anywhere in the sweep")
-        singles = detector_singles(totals)
-        marginals = {d: k / total_pairs for d, k in singles.items()}
+        # A sweep with no pair has zero marginals, as a dark detector has.
+        total_pairs = max(sum(totals), 1)
+        marginals = {d: k / total_pairs for d, k in detector_singles(totals).items()}
     columns = []
-    for pair in ("AD", "BC"):
-        denominator = marginals[pair[0]] * marginals[pair[1]]
-        if denominator == 0.0:
-            # A dark detector leaves the pair without a normalization.
-            columns += [np.full(len(n), np.nan), np.full(len(n), np.nan)]
-            continue
-        # 0 / 0 is nan: a point with no pairs has no estimate.
-        with np.errstate(invalid="ignore"):
+    # 0 / 0 is nan: no pair at a point, or a dark detector's zero marginal.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pair in ("AD", "BC"):
+            denominator = marginals[pair[0]] * marginals[pair[1]]
             p_hat = fates[:, FATES.index(pair)] / n
-        std_error = np.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
-        columns += [p_hat / denominator, std_error]
+            std_error = np.sqrt(p_hat * (1.0 - p_hat) / n) / denominator
+            columns += [p_hat / denominator, std_error]
     return (*columns, n)

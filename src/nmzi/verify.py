@@ -6,10 +6,10 @@ function returning the residual array of its identity, one array call on its
 whole check grid: of the closed form (:func:`nmzi.correlation.record_at`,
 whose intensity columns are the detection probabilities), of the station
 models, or of the beam splitter, once per reflection phase.
-:func:`run_verification` lists the eight once, and a check's deviation is
-its largest ``|residual|``.  The paper's special forms -- ``sin^2(rho)`` for
-synchronized stations and the ``+-pi/4`` basis sum of ``1/2`` -- are
-restated here and checked against that closed form, not derived from it.
+:func:`run_verification` lists the eight once.  The paper's special forms
+-- ``sin^2(rho)`` for synchronized stations and the ``+-pi/4`` basis sum of
+``1/2`` -- are restated here and checked against that closed form, not
+derived from it.
 
 The Monte Carlo checks compare the photon counts of one draw, nine sweep
 points from the given source, with the closed forms.  One ``record_at`` call
@@ -19,6 +19,11 @@ counts are compared with.  Each compares a count
 ``|k/n - p| / sqrt(p (1 - p) / n)``, so a point that counted nothing is
 measured in the truth's sigma, not in its own +-0 error bar; the tolerances
 are in those sigmas.
+
+Every check, analytic or Monte Carlo, is one ``(name, tolerance,
+deviation)`` row, where the deviation is a residual array or the sigmas of
+the compared counts, and one expression turns each row into a
+:class:`CheckResult` whose deviation is the row's largest ``|deviation|``.
 
 ``run_verification`` accepts the element conventions under test so a
 deliberately corrupted convention set can be fed in as a negative control;
@@ -190,13 +195,20 @@ def _binomial_z(k: int, n: int, p: float) -> float:
     return 0.0 if k / n == p else math.inf
 
 
+def _results(table) -> list[CheckResult]:
+    """One check per ``(name, tolerance, deviation)`` row: the largest
+    ``|deviation|`` against the tolerance."""
+    return [CheckResult(name, float(np.max(np.abs(d))), tol) for name, tol, d in table]
+
+
 def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
     """The photon-counting checks, all read from one draw of nine points.
 
     Rows 0-7 are the synchronized phases, whose AD coincidence rate must be
     ``R_AD / 16``; row 8 is a general point, whose singles must follow its
     fringe; the doubly bunched bins of all nine rows must make up the
-    Poisson pair mass.
+    Poisson pair mass.  Each check's deviation is its sigmas, one per
+    compared count.
     """
     settings = np.concatenate(
         [synchronized_settings(_PHASES, QUARTER_TURN), [_GENERAL_POINT]]
@@ -205,34 +217,21 @@ def _check_montecarlo(source: SourceParams) -> list[CheckResult]:
     counts = run_experiment(records[:, :4], source).counts
     fates = counts[:, :9].tolist()
     n_post = [sum(row) for row in fates]
+    ad = counts[:8, FATES.index("AD")].tolist()
     r_ad = records[:8, RECORD_COLUMNS.index("R_AD")].tolist()
-    convergence = max(
-        _binomial_z(k, n, r / 16.0)
-        for k, n, r in zip(counts[:8, FATES.index("AD")].tolist(), n_post, r_ad)
-    )
     general = detector_singles(fates[8])
-    singles = max(
-        _binomial_z(general[d], n_post[8], p)
-        for d, p in zip(DETECTORS, records[8, :4].tolist())
-    )
     mu = source.mean_photon_number
-    # A row's pair bins are its nine fates plus its routing-rejected pairs.
-    pair_bins = _binomial_z(
-        sum(counts[:, :10].sum(axis=1).tolist()),
-        source.n_time_bins * len(counts),
-        math.exp(-mu) * mu * mu / 2.0,
-    )
-    return [
-        CheckResult(
-            "monte carlo correlation converges at 8 synchronized phases (sigmas)",
-            convergence,
-            5.0,
-        ),
-        CheckResult("monte carlo singles follow the fringe (sigmas)", singles, 4.0),
-        CheckResult(
-            "doubly bunched bin fraction matches poisson mass (sigmas)", pair_bins, 4.0
-        ),
-    ]
+    return _results([
+        ("monte carlo correlation converges at 8 synchronized phases (sigmas)", 5.0,
+         [_binomial_z(k, n, r / 16.0) for k, n, r in zip(ad, n_post, r_ad)]),
+        ("monte carlo singles follow the fringe (sigmas)", 4.0,
+         [_binomial_z(general[d], n_post[8], p)
+          for d, p in zip(DETECTORS, records[8, :4].tolist())]),
+        # A row's pair bins are its nine fates plus its routing-rejected pairs.
+        ("doubly bunched bin fraction matches poisson mass (sigmas)", 4.0,
+         _binomial_z(sum(counts[:, :10].sum(axis=1).tolist()),
+                     source.n_time_bins * len(counts), math.exp(-mu) * mu * mu / 2.0)),
+    ])
 
 
 def run_verification(
@@ -257,8 +256,4 @@ def run_verification(
         ("detection probabilities conserve exactly", 0.0, _station_probability_excess()),
         ("polarizer-basis sum hides the fringe locally", ALGEBRA_TOL, _basis_sum_excess()),
     ]
-    checks = [
-        CheckResult(name, float(np.max(np.abs(residual))), tolerance)
-        for name, tolerance, residual in analytic
-    ]
-    return VerificationReport(checks=(*checks, *_check_montecarlo(source)))
+    return VerificationReport(checks=(*_results(analytic), *_check_montecarlo(source)))

@@ -3,6 +3,7 @@ the process entry that ``python -m nmzi.cli`` and the ``nmzi`` script run."""
 
 import argparse
 import ast
+import errno
 import functools
 import gc
 import math
@@ -233,6 +234,8 @@ def test_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatc
         (["--gnuplot", "--out", "scan.csv"], "scan.gp is a directory"),
         (["--out", "pipe.csv"], "pipe.csv is not a regular file"),
         (["--gnuplot", "--out", "fifo.csv"], "fifo.gp is not a regular file"),
+        # The script's plot command would be split over two lines.
+        (["--gnuplot", "--out", "a\nb.csv"], "a gnuplot script cannot name 'a\\nb.csv'"),
     ]:
         assert main(["analytic", "--preset", "fig2", *flags]) == 1
         assert f"config error: config key 'out': {fragment}" in capsys.readouterr().err
@@ -246,6 +249,21 @@ def test_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatc
         "fifo.gp", "pipe.csv", "scan.gp", "taken"
     ]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_failed_write_exits_one_and_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr("nmzi.output.os.replace", refuse)
+    out = tmp_path / "scan.csv"
+    out.write_text("old\n")
+    assert main(["analytic", "--preset", "fig2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write CSV to {out}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert out.read_text() == "old\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
 
 
 def test_dim_verify_source_is_refused_before_sampling(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 every config the table allows survives its canonical text."""
 
 import math
+import os
+import tempfile
 import warnings
 
 import pytest
@@ -9,8 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nmzi import cli
-from nmzi.config import KEYS, MODES, canonical_config_text, parse_config
+from nmzi.config import (
+    KEYS,
+    MODES,
+    RunConfig,
+    _as_bool,
+    _as_int,
+    canonical_config_text,
+    parse_config,
+)
 from nmzi.correlation import PRESETS, SWEEP_PARAMS
+from nmzi.montecarlo import SourceParams
 from test_cli import KEY_FLAG_VALUE
 
 # A value each key accepts that differs from KEY_FLAG_VALUE's.
@@ -183,3 +194,31 @@ def test_every_config_the_table_allows_survives_its_canonical_text(entries):
         2 if strong else 0
     )
 
+
+
+def test_record_defaults_are_the_table_defaults():
+    # The records restate these defaults for callers that build them directly.
+    assert RunConfig.normalization == KEYS["normalization"][1]
+    assert RunConfig.gnuplot is _as_bool("gnuplot", KEYS["gnuplot"][1])
+    assert SourceParams.routing == KEYS["routing"][1]
+    assert SourceParams.rng_seed == _as_int("seed", KEYS["seed"][1])
+
+
+_SOURCE_KEYS = ("mu", "bins", "seed", "routing", "normalization")
+
+
+@given(st.fixed_dictionaries({key: VALUES[key] for key in _SOURCE_KEYS}))
+def test_every_source_the_table_allows_runs_a_monte_carlo_sweep(source):
+    flags = [arg for key, value in source.items() for arg in (KEYS[key][2], value)]
+    with tempfile.TemporaryDirectory() as directory:
+        out = os.path.join(directory, "scan.csv")
+        argv = ["montecarlo", "--sweep", "phi=0:3:1", "--fix", "xi=0.7", *flags, "--out", out]
+        assert cli.main(argv) == 0
+        with open(out) as handle:
+            header, *lines = handle.read().splitlines()
+    assert len(lines) == 4
+    columns = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    n_pairs = [int(cell) for cell in columns["n_pairs"]]
+    for name in ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC"):
+        assert all(math.isfinite(float(cell)) or cell == "nan" for cell in columns[name])
+    assert all(cell == "nan" for n, cell in zip(n_pairs, columns["R_hat_AD"]) if n == 0)

@@ -52,3 +52,16 @@ def test_code_lines_counts_each_module_and_sums_them(tmp_path):
     )
     assert all(int(count) > 0 for count, _ in modules)
     assert total == [str(sum(int(count) for count, _ in modules)), "total"]
+
+
+def test_uncovered_lists_the_statements_a_test_file_never_runs(tmp_path):
+    # One quick test of a module that never imports the CLI.
+    test_file = str(ROOT / "tests" / "test_digits.py")
+    done = run_script(
+        "uncovered.py", test_file, "-k", "near_ties", "-q", "-p", "no:cacheprovider",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    *_, count = done.stdout.splitlines()
+    assert count.endswith(" statements never ran")
+    assert any(line.startswith("cli.py:") for line in done.stdout.splitlines())
