@@ -2,7 +2,10 @@
 
 CPython formats one float at a time, at about a microsecond each, and a CSV
 of a 101 x 101 map has ~16 000 distinct values.  :func:`float_cells` gives
-the same text for a whole array at once.
+the same text for a whole array at once, each value followed by the one end
+character of the call: a CSV column's cells all end alike.  Its two tables,
+the text of every four-digit group and the 201 powers of ten, are built
+once, when the module is first imported.
 
 ``"{:.16e}"`` is the double's exact value rounded to 17 significant digits,
 half to even.  With ``E = floor(log10 |x|)`` those digits are the integer
@@ -54,37 +57,27 @@ _MARGIN = 64.0
 _WIDTH = 25
 
 
-def float_cells(values: np.ndarray, ends: np.ndarray) -> list[str]:
-    """``"{:.16e}".format(v) + chr(end)`` for each double ``v`` of ``values``.
+def float_cells(values: np.ndarray, end: str) -> list[str]:
+    """``"{:.16e}".format(v) + end`` for each double ``v`` of ``values``.
 
-    ``ends`` holds one ASCII byte per value (a ``uint8`` array), the text
-    that follows the value in its cell, such as a separator.
+    ``end`` is the one ASCII character that follows every value of the call
+    in its cell, such as a separator.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    ends = np.ascontiguousarray(ends, dtype=np.uint8)
-    digits = _four_digit_groups()
-    # powers[:, E + 100] is 10**(16 - E) as (hi, lo), built on first use.
-    powers = np.zeros((2, 2 * _LARGEST_EXPONENT + 1))
     cells: list[str] = []
     for start in range(0, len(values), _BATCH):
-        stop = start + _BATCH
-        cells += _batch_cells(values[start:stop], ends[start:stop], digits, powers)
+        cells += _batch_cells(values[start : start + _BATCH], end)
     return cells
 
 
-def _batch_cells(
-    values: np.ndarray,
-    ends: np.ndarray,
-    digits: np.ndarray,
-    powers: np.ndarray,
-) -> list[str]:
+def _batch_cells(values: np.ndarray, end: str) -> list[str]:
     """:func:`float_cells` of at most one batch of values."""
     x = np.abs(values)
     # False for nan as well as for zeros, subnormals, infinities and extremes.
     exact = (x >= _LOWEST) & (x <= _HIGHEST)
     x[~exact] = 1.0
     exponent = np.floor(np.log10(x)).astype(np.int64)
-    p, t = _scaled(x, exponent, powers)
+    p, t = _scaled(x, exponent)
     exact &= (p >= 1e16 + _MARGIN) & (p <= 1e17 - _MARGIN)
     exact &= np.abs(t - np.floor(t) - 0.5) >= _TIE_BAND
     q = p.astype(np.int64) + np.rint(t).astype(np.int64)
@@ -99,36 +92,25 @@ def _batch_cells(
     cell[:, 0] = ord("-")
     cell[:, 1] = q + ord("0")
     cell[:, 2] = ord(".")
-    cell[:, 3:19] = digits[groups].view(np.uint8)
+    cell[:, 3:19] = _DIGITS[groups].view(np.uint8)
     cell[:, 19] = ord("e")
     cell[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
     cell[:, 21] = size // 10 + ord("0")
     cell[:, 22] = size % 10 + ord("0")
-    cell[:, 23] = ends
+    cell[:, 23] = ord(end)
     cell[:, 24] = 0
     used = np.ones(cell.shape, dtype=bool)
     used[:, 0] = np.signbit(values)
     text = cell[used].tobytes().decode("ascii").split("\0")
     text.pop()
     for i in np.flatnonzero(~exact).tolist():
-        text[i] = "{:.16e}".format(float(values[i])) + chr(ends[i])
+        text[i] = "{:.16e}".format(float(values[i])) + end
     return text
 
 
-def _scaled(
-    x: np.ndarray, exponent: np.ndarray, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``p + t ~ x * 10**(16 - exponent)``: ``p`` rounded, ``t`` the rest.
-
-    ``powers`` holds ``_power_of_ten(16 - E)`` at column ``E + 100``; the
-    columns of exponents met here for the first time are filled in.
-    """
-    column = exponent + _LARGEST_EXPONENT
-    met = np.bincount(column, minlength=powers.shape[1]) > 0
-    for i in np.flatnonzero(met & (powers[0] == 0.0)).tolist():
-        powers[:, i] = _power_of_ten(16 + _LARGEST_EXPONENT - i)
-    hi = powers[0, column]
-    lo = powers[1, column]
+def _scaled(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p + t ~ x * 10**(16 - exponent)``: ``p`` rounded, ``t`` the rest."""
+    hi, lo = _POWERS[:, exponent + _LARGEST_EXPONENT]
     p = x * hi
     split = x * _SPLITTER
     x_hi = split - (split - x)
@@ -159,3 +141,11 @@ def _four_digit_groups() -> np.ndarray:
     text[..., 2] = digit[:, None]
     text[..., 3] = digit
     return text.view(np.uint32).reshape(10_000)
+
+
+# Built once, when the module is first imported.  _DIGITS holds the text of
+# 0000 to 9999; _POWERS[:, E + 100] is 10**(16 - E) as (hi, lo).
+_DIGITS = _four_digit_groups()
+_POWERS = np.array(
+    [_power_of_ten(16 - e) for e in range(-_LARGEST_EXPONENT, _LARGEST_EXPONENT + 1)]
+).T

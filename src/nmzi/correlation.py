@@ -50,7 +50,7 @@ MAX_GRID_POINTS = 10_000_000
 # Sweepable parameters; rho and zeta are synchronized aliases that drive both
 # stations' phase or polarizer angle at once.
 SWEEP_PARAMS = ("phi", "psi", "xi", "theta", "rho", "zeta")
-_ALIAS_TARGETS = {"rho": ("phi", "psi"), "zeta": ("xi", "theta")}
+ALIAS_TARGETS = {"rho": ("phi", "psi"), "zeta": ("xi", "theta")}
 
 # sin(2 xi) overflows above this polarizer-angle magnitude, and every computed
 # column is then nan.  Phases are not doubled, so they keep their range.
@@ -160,7 +160,7 @@ class SweepSpec(_Record):
             _check_polarizer_angle(f"fixed parameter {name!r}", name, value)
             sources.append((name, f"fix {name}"))
         for name, source in sources:
-            for target in _ALIAS_TARGETS.get(name, (name,)):
+            for target in ALIAS_TARGETS.get(name, (name,)):
                 if target in claimed:
                     raise ValueError(
                         f"parameter {target!r} set twice (via {claimed[target]} and {source})"
@@ -205,7 +205,7 @@ PRESETS: dict[str, SweepSpec] = {
 
 
 def _columns(name: str) -> list[int]:
-    return [SETTINGS_COLUMNS.index(t) for t in _ALIAS_TARGETS.get(name, (name,))]
+    return [SETTINGS_COLUMNS.index(t) for t in ALIAS_TARGETS.get(name, (name,))]
 
 
 def sweep_settings(spec: SweepSpec) -> np.ndarray:

@@ -21,15 +21,15 @@ function of the inputs.
 Rendering goes column by column, because a sweep's columns repeat values
 heavily (a 101 x 101 map has 101 distinct values per axis): each column's
 distinct values are formatted once, each with the comma or newline that ends
-its cell.  The floats of all columns go through one numpy kernel,
+its cell, and ``np.unique``'s inverse indexes place them in an ``(N, C)``
+object array of cells.  The floats go through one numpy kernel,
 :func:`nmzi._digits.float_cells`, which gives ``"{:.16e}"``'s text exactly,
 faster than CPython's one-at-a-time formatter; it is imported on the first
-call, so ``import nmzi.cli`` does not compile it.  Floats are told apart by
-bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their own text, and
-a point with no Monte Carlo estimate prints ``nan``.  The cells' text is
-then gathered through ``np.unique``'s inverse indexes as one object array
-per block of 1024 rows and joined into one string per block: no per-line
-string is built.
+call, so ``import nmzi.cli`` does not compile it or build its tables.
+Floats are told apart by bit pattern, not by value, so ``-0.0`` and ``0.0``
+keep their own text, and a point with no Monte Carlo estimate prints
+``nan``.  Each block of 1024 rows of cells is joined into one string: no
+per-line string is built.
 
 Files are written to a temporary name in the target directory and renamed
 into place, so an interrupted run leaves the previous file (or none), never
@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .correlation import RECORD_COLUMNS, SETTINGS_COLUMNS
+from .correlation import ALIAS_TARGETS, RECORD_COLUMNS, SETTINGS_COLUMNS
 from .montecarlo import ESTIMATE_COLUMNS
 
 ANALYTIC_COLUMNS = SETTINGS_COLUMNS + RECORD_COLUMNS + ("R_AD_normalized",)
@@ -83,33 +84,21 @@ def csv_rows(
     if mc_columns is not None:
         header += ESTIMATE_COLUMNS
         floats += mc_columns[:-1]
-    # cell[i, j] indexes the text of row i's value in column j, each distinct
-    # value formatted once per column.  Floats are told apart by bit pattern.
-    cell = np.empty((len(settings), len(header)), dtype=np.intp)
-    distinct = []
-    offset = 0
+    # Each column's distinct values are formatted once, with the cell's end;
+    # floats are told apart by bit pattern.
+    cells = np.empty((len(settings), len(header)), dtype=object)
     for j, column in enumerate(floats):
+        end = "\n" if j == len(header) - 1 else ","
         keys = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-        keys, cell[:, j] = np.unique(keys, return_inverse=True)
-        cell[:, j] += offset
-        offset += len(keys)
-        distinct.append(keys)
-    ends = np.full(len(header), ord(","), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    texts = float_cells(
-        np.concatenate(distinct).view(np.float64),
-        np.repeat(ends[: len(floats)], [len(keys) for keys in distinct]),
-    )
+        keys, inverse = np.unique(keys, return_inverse=True)
+        cells[:, j] = np.array(float_cells(keys.view(np.float64), end), dtype=object)[inverse]
     if mc_columns is not None:
-        keys, cell[:, -1] = np.unique(mc_columns[-1], return_inverse=True)
-        cell[:, -1] += offset
-        texts += [f"{key}\n" for key in keys.tolist()]
-    text = np.array(texts, dtype=object)
+        keys, inverse = np.unique(mc_columns[-1], return_inverse=True)
+        cells[:, -1] = np.array([f"{key}\n" for key in keys.tolist()], dtype=object)[inverse]
     chunks = [",".join(header) + "\n"]
-    for start in range(0, len(cell), _ROW_BLOCK):
+    for start in range(0, len(cells), _ROW_BLOCK):
         # A 1-D object array lists fast; a 2-D one builds a list per row.
-        block = text[cell[start : start + _ROW_BLOCK]].ravel()
-        chunks.append("".join(block.tolist()))
+        chunks.append("".join(cells[start : start + _ROW_BLOCK].ravel().tolist()))
     return chunks
 
 
@@ -124,7 +113,9 @@ def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
         # O_EXCL: never write through an existing file or link of that name.
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with open(fd, "w", encoding="ascii", newline="") as handle:
+            # The CSV is ASCII; a script names its CSV by the path's own bytes.
+            codec = sys.getfilesystemencoding(), sys.getfilesystemencodeerrors()
+            with open(fd, "w", encoding=codec[0], errors=codec[1], newline="") as handle:
                 write(handle)
             os.replace(temp, path)
         except BaseException:
@@ -146,13 +137,14 @@ def emit_csv(
     _write_atomically(path, lambda handle: handle.writelines(rows), "CSV")
 
 
-# Column positions (1-based, for gnuplot) of the plottable quantities.
-_AXIS_COLUMN = {"phi": 1, "rho": 1, "psi": 2, "xi": 3, "zeta": 3, "theta": 4}
+def _column(name: str) -> int:
+    """The 1-based CSV column gnuplot reads for ``name``; an alias plots
+    against its first target."""
+    name = ALIAS_TARGETS.get(name, (name,))[0]
+    return (ANALYTIC_COLUMNS + ESTIMATE_COLUMNS).index(name) + 1
 
 
-def gnuplot_script(
-    csv_path: str, axis_names: Sequence[str], with_mc: bool
-) -> str:
+def gnuplot_script(csv_path: str, axis_names: Sequence[str], with_mc: bool) -> str:
     """A ready-to-run gnuplot script plotting R_AD against the sweep axes.
 
     One axis gives a line plot (plus Monte Carlo error bars when present);
@@ -160,7 +152,8 @@ def gnuplot_script(
     """
     if not axis_names or len(axis_names) > 2:
         raise ValueError("gnuplot output supports one or two sweep axes")
-    columns = [_AXIS_COLUMN[name] for name in axis_names]
+    axes = ":".join(str(_column(name)) for name in axis_names)
+    r_ad = _column("R_AD")
     # gnuplot reads '' as one quote inside a single-quoted string.
     csv_path = csv_path.replace("'", "''")
     lines = [
@@ -168,12 +161,12 @@ def gnuplot_script(
         "set key autotitle columnhead",
         f"set xlabel '{axis_names[0]} (rad)'",
     ]
-    if len(columns) == 1:
+    if len(axis_names) == 1:
         lines.append("set ylabel 'coincidence correlation'")
-        plot = f"plot '{csv_path}' using {columns[0]}:9 with lines title 'R_AD'"
+        plot = f"plot '{csv_path}' using {axes}:{r_ad} with lines title 'R_AD'"
         if with_mc:
             plot += (
-                f", '{csv_path}' using {columns[0]}:12:13 "
+                f", '{csv_path}' using {axes}:{_column('R_hat_AD')}:{_column('stderr_AD')} "
                 "with yerrorbars title 'R_AD (MC)'"
             )
         lines.append(plot)
@@ -181,14 +174,11 @@ def gnuplot_script(
         lines += [
             f"set ylabel '{axis_names[1]} (rad)'",
             "set view map",
-            f"splot '{csv_path}' using {columns[0]}:{columns[1]}:9 "
-            "with pm3d title 'R_AD'",
+            f"splot '{csv_path}' using {axes}:{r_ad} with pm3d title 'R_AD'",
         ]
     return "\n".join(lines) + "\n"
 
 
-def emit_gnuplot(
-    csv_path: str, script_path, axis_names: Sequence[str], with_mc: bool
-) -> None:
+def emit_gnuplot(csv_path: str, script_path, axis_names: Sequence[str], with_mc: bool) -> None:
     text = gnuplot_script(csv_path, axis_names, with_mc)
     _write_atomically(script_path, lambda handle: handle.write(text), "gnuplot script")

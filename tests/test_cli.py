@@ -387,6 +387,17 @@ def test_gnuplot_script_lands_next_to_csv(tmp_path, capsys):
     assert str(script) in capsys.readouterr().out
 
 
+# A name in UTF-8, and one whose byte no encoding decodes (held as a surrogate).
+@pytest.mark.parametrize("name", ["é.csv", os.fsdecode(b"b\xff.csv")], ids=["utf8", "raw_byte"])
+def test_gnuplot_script_names_a_non_ascii_csv_by_its_bytes(name, tmp_path):
+    out = os.path.join(str(tmp_path), name)
+    assert main(["analytic", "--preset", "fig2", "--gnuplot", "--out", out]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted([name, os.path.splitext(name)[0] + ".gp"])
+    script = (tmp_path / (os.path.splitext(name)[0] + ".gp")).read_bytes()
+    (plot,) = [line for line in script.splitlines() if line.startswith(b"plot ")]
+    assert os.fsencode(out) in plot
+
+
 @pytest.mark.parametrize(
     "sweeps",
     [["phi=0:1:1e-12"], ["phi=0:1:1e-4", "psi=0:1:1e-4"]],

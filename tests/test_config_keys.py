@@ -1,6 +1,9 @@
-"""Each row of ``config.KEYS``: a key's flag sets what its file line sets, and
-every config the table allows survives its canonical text."""
+"""Each row of ``config.KEYS``: a key's flag sets what its file line sets,
+every config the table allows survives its canonical text, and a bad value
+of any key exits 1 with one error line and no file."""
 
+import contextlib
+import io
 import math
 import os
 import tempfile
@@ -142,6 +145,7 @@ _GRID_KEYS = ("preset", "sweep")
 
 def test_every_key_but_mode_has_a_value_strategy():
     assert set(VALUES) | set(_GRID_KEYS) == set(KEYS) - {"mode"}
+    assert set(BAD_ENTRIES) == set(KEYS) - {"mode"}
 
 
 def _min_verify_bins(entries: dict) -> float:
@@ -222,3 +226,69 @@ def test_every_source_the_table_allows_runs_a_monte_carlo_sweep(source):
     for name in ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC"):
         assert all(math.isfinite(float(cell)) or cell == "nan" for cell in columns[name])
     assert all(cell == "nan" for n, cell in zip(n_pairs, columns["R_hat_AD"]) if n == 0)
+
+
+# Values each key refuses, whatever the rest of a valid config holds.  The
+# grid keys stand for all of a config's grid entries, and ``fix`` for all of
+# its fixed ones; an empty value is refused for every key.
+BAD_ENTRIES = {
+    "preset": [{"preset": "fig5"}, {"preset": "FIG2"}],
+    "sweep": [
+        {"sweep.phi": "0:1"},
+        {"sweep.phi": "1:0:0.5"},
+        {"sweep.psi": "0:1:0"},
+        {"sweep.psi": "0:1:-1"},
+        {"sweep.xi": "0:inf:1"},
+        {"sweep.xi": "0:1:x"},
+        {"sweep.rho": "0:1e300:1e-300"},
+        {"sweep.theta": "1e16:10000000000000064:1.5"},
+        {"sweep.chi": "0:1:0.5"},
+    ],
+    "fix": [{"fix.phi": "nan"}, {"fix.psi": "-inf"}, {"fix.xi": "1e400"}, {"fix.chi": "1"}],
+    "out": [{"out": "."}, {"out": "missing/x.csv"}, {"out": "run.cfg/x.csv"}],
+    "angles": [{"angles": "grads"}, {"angles": "Degrees"}],
+    "gnuplot": [{"gnuplot": "maybe"}, {"gnuplot": "2"}],
+    "mu": [{"mu": "0"}, {"mu": "-0.1"}, {"mu": "nan"}, {"mu": "1e-400"}, {"mu": "x"}],
+    "bins": [{"bins": "0"}, {"bins": "-3"}, {"bins": str(2**63)}, {"bins": "1e6"}],
+    "seed": [{"seed": "-1"}, {"seed": str(2**64)}, {"seed": "1.5"}],
+    "routing": [{"routing": "both"}, {"routing": "Paired"}],
+    "normalization": [{"normalization": "none"}, {"normalization": "Measured"}],
+}
+_ERROR_PREFIXES = ("config error: ", "error: ", "usage error: ")
+
+
+def _without(entries: dict, key: str) -> dict:
+    """``entries`` without the entries that ``key`` stands for."""
+    heads = _GRID_KEYS if key in _GRID_KEYS else (key,)
+    return {k: v for k, v in entries.items() if k.partition(".")[0] not in heads}
+
+
+@st.composite
+def bad_configs(draw):
+    """A valid config with one key's entries swapped for a bad value."""
+    entries = draw(config_entries())
+    mode = entries["mode"]
+    key = draw(st.sampled_from([key for key in BAD_ENTRIES if mode in KEYS[key][0]]))
+    bad = draw(st.sampled_from(BAD_ENTRIES[key] + [{next(iter(BAD_ENTRIES[key][0])): ""}]))
+    return mode, {**_without(entries, key), **bad}
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(bad_configs())
+def test_every_bad_value_exits_one_with_one_error_line_and_no_file(bad):
+    mode, entries = bad
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        patch.delenv(cli.OUT_DIR_ENV, raising=False)
+        with open("run.cfg", "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key} = {value}\n" for key, value in entries.items())
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = cli.main([mode, "--config", "run.cfg"])
+        left = os.listdir(directory)
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning: ")]
+    assert status == 1, lines
+    assert len(errors) == 1 and errors[0].startswith(_ERROR_PREFIXES), lines
+    assert stdout.getvalue() == ""
+    assert left == ["run.cfg"]

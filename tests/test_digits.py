@@ -88,19 +88,17 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_cells_equal_cpython_format(case):
     values = np.asarray(CASES[case](), dtype=np.float64)
-    # Alternate the end byte so that each cell's own end is checked.
-    ends = np.where(np.arange(len(values)) % 3 == 2, ord("\n"), ord(","))
-    cells = float_cells(values, ends.astype(np.uint8))
-    expected = [
-        "{:.16e}".format(value) + end for value, end in zip(values.tolist(), map(chr, ends.tolist()))
-    ]
-    if cells != expected:
-        wrong = [
-            (value.hex(), cell, want)
-            for value, cell, want in zip(values.tolist(), cells, expected)
-            if cell != want
-        ]
-        pytest.fail(f"{len(wrong)} of {len(values)} cells differ, e.g. {wrong[:3]}")
+    expected = ["{:.16e}".format(value) for value in values.tolist()]
+    # One end per call, as a CSV column's cells end alike; both are checked.
+    for end in (",", "\n"):
+        cells = float_cells(values, end)
+        if cells != [text + end for text in expected]:
+            wrong = [
+                (value.hex(), cell, want + end)
+                for value, cell, want in zip(values.tolist(), cells, expected)
+                if cell != want + end
+            ]
+            pytest.fail(f"{len(wrong)} of {len(values)} cells differ, e.g. {wrong[:3]}")
 
 
 def test_near_ties_lie_within_the_double_double_error():

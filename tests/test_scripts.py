@@ -65,3 +65,18 @@ def test_uncovered_lists_the_statements_a_test_file_never_runs(tmp_path):
     *_, count = done.stdout.splitlines()
     assert count.endswith(" statements never ran")
     assert any(line.startswith("cli.py:") for line in done.stdout.splitlines())
+
+
+def test_large_sweep_reports_each_mode_and_writes_fig3_on_a_101_grid(tmp_path):
+    # 101 points per axis over [0, 2 pi] at pi/4 polarizers is fig3's grid.
+    done = run_script("large_sweep.py", "--points", "101", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    runs = [dict(field.split("=") for field in line.split()) for line in done.stdout.splitlines()]
+    assert [run["mode"] for run in runs] == ["analytic", "montecarlo"]
+    assert all(run["rows"] == "10201" and float(run["wall_s"]) > 0.0 for run in runs)
+    assert runs[0]["sha256"] == ANALYTIC_SHA256["fig3"]
+    assert int(runs[1]["csv_bytes"]) > int(runs[0]["csv_bytes"])
+    if os.path.exists("/proc/self/status"):
+        assert all(float(run["vmhwm_mb"]) > 0.0 for run in runs)
+    # The CSVs went to a temporary directory, not the working one.
+    assert list(tmp_path.iterdir()) == []
