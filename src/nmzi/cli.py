@@ -146,6 +146,8 @@ def _run_sweep_mode(config: RunConfig) -> int:
     out_path = _resolve_out_path(config)
     stem, extension = os.path.splitext(out_path)
     script_path = stem + ".gp"
+    if "\0" in out_path:
+        raise ConfigError(f"config key 'out': no file name holds a NUL, got {out_path!r}")
     if config.gnuplot and extension.lower() == ".gp":
         raise ConfigError(f"config key 'out': the gnuplot script would overwrite {out_path}")
     # The script names the CSV inside one line of its plot command.

@@ -10,9 +10,9 @@ basis, passed and returned as two amplitudes, so its intensity is
 Phase conventions for the lossless elements are not forced by physics alone,
 so they are collected in :class:`ElementConventions` and fixed once as
 :data:`DEFAULT_CONVENTIONS`.  The defaults are the symmetric 50:50 beam
-splitter (transmission ``1/sqrt(2)``, reflection ``i/sqrt(2)``), a polarizing
-splitter whose reflected (V) arm also picks up ``i``, and unit mirror phase;
-the station-level oracle test is the arbiter that this triple composes to the
+splitter (transmission ``1/sqrt(2)``, reflection ``i/sqrt(2)``) and a
+polarizing splitter whose reflected (V) arm also picks up ``i``; the
+station-level oracle test is the arbiter that this pair composes to the
 intended interferometer transfer.
 """
 
@@ -36,16 +36,19 @@ def _require_unit_modulus(name: str, value: complex) -> None:
 
 
 class ElementConventions(_Record):
-    """Unit phase factors picked up on reflection at each element kind."""
+    """Unit phase factors picked up on reflection at the two splitters.
+
+    Both move the station's fringe, so a wrong one shows in every check
+    against the closed form.  A phase that both arms share, such as a mirror
+    bounce, reaches no intensity and has no field here.
+    """
 
     bs_reflection_phase: complex = 1j
     pbs_reflection_phase: complex = 1j
-    mirror_phase: complex = 1.0
 
     def __post_init__(self) -> None:
         _require_unit_modulus("bs_reflection_phase", self.bs_reflection_phase)
         _require_unit_modulus("pbs_reflection_phase", self.pbs_reflection_phase)
-        _require_unit_modulus("mirror_phase", self.mirror_phase)
 
 
 DEFAULT_CONVENTIONS = ElementConventions()
@@ -97,14 +100,6 @@ def half_wave_plate(
 def phase_shift(amplitude: complex, phi: float) -> complex:
     """Propagation phase: multiply by ``e^{i phi}``."""
     return amplitude * np.exp(1j * phi)
-
-
-def mirror_reflect(
-    amplitude: complex,
-    conv: ElementConventions = DEFAULT_CONVENTIONS,
-) -> complex:
-    """Mirror bounce: multiply by the conventional mirror phase."""
-    return amplitude * conv.mirror_phase
 
 
 def polarizer_project(h: complex, v: complex, zeta: float) -> complex:

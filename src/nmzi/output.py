@@ -41,7 +41,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from typing import Callable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,13 +102,14 @@ def csv_rows(
     return chunks
 
 
-def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
-    """Run ``write`` on a fresh file beside ``path``, then rename it over ``path``.
+def _write_atomically(path, chunks: Iterable[str], what: str) -> None:
+    """Write ``chunks`` to a fresh file beside ``path``, then rename it over ``path``.
 
     On any failure the temporary file is removed and ``path`` is untouched.
+    The temporary name has a fixed length, so any name the directory takes
+    can be written.
     """
-    head, tail = os.path.split(os.fspath(path))
-    temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    temp = os.path.join(os.path.dirname(path), f".nmzi-{os.urandom(6).hex()}.tmp")
     try:
         # O_EXCL: never write through an existing file or link of that name.
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -116,7 +117,7 @@ def _write_atomically(path, write: Callable[[TextIO], None], what: str) -> None:
             # The CSV is ASCII; a script names its CSV by the path's own bytes.
             codec = sys.getfilesystemencoding(), sys.getfilesystemencodeerrors()
             with open(fd, "w", encoding=codec[0], errors=codec[1], newline="") as handle:
-                write(handle)
+                handle.writelines(chunks)
             os.replace(temp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -133,8 +134,7 @@ def emit_csv(
     mc_columns: Sequence[np.ndarray] | None = None,
 ) -> None:
     """Write the sweep to ``path``; validation happens before any file opens."""
-    rows = csv_rows(settings, records, mc_columns)
-    _write_atomically(path, lambda handle: handle.writelines(rows), "CSV")
+    _write_atomically(path, csv_rows(settings, records, mc_columns), "CSV")
 
 
 def _column(name: str) -> int:
@@ -181,4 +181,4 @@ def gnuplot_script(csv_path: str, axis_names: Sequence[str], with_mc: bool) -> s
 
 def emit_gnuplot(csv_path: str, script_path, axis_names: Sequence[str], with_mc: bool) -> None:
     text = gnuplot_script(csv_path, axis_names, with_mc)
-    _write_atomically(script_path, lambda handle: handle.write(text), "gnuplot script")
+    _write_atomically(script_path, [text], "gnuplot script")

@@ -39,7 +39,6 @@ from .elements import (
     ElementConventions,
     beam_splitter_mix,
     half_wave_plate,
-    mirror_reflect,
     pbs_split,
     phase_shift,
     polarizer_project,
@@ -94,8 +93,6 @@ def composed_station(
 
     arm_h, arm_v = pbs_split(*prepared, conv)
     arm_v = phase_shift(arm_v, phi)
-    arm_h = mirror_reflect(arm_h, conv)
-    arm_v = mirror_reflect(arm_v, conv)
 
     # The recombining splitter mixes the spatial modes componentwise; the H
     # arm carries no V amplitude and vice versa.

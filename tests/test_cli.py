@@ -266,6 +266,32 @@ def test_failed_write_exits_one_and_keeps_the_old_file(tmp_path, capsys, monkeyp
     assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "pathconf"), reason="os.pathconf, which gives the longest file name, is absent"
+)
+def test_longest_file_name_the_directory_takes_is_written(tmp_path, capsys):
+    # The temporary file beside it must not need a longer name.
+    name = "y" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".csv")) + ".csv"
+    assert main(["analytic", "--preset", "fig2", "--out", str(tmp_path / name)]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+    assert len((tmp_path / name).read_text().splitlines()) == 1 + 201
+    assert capsys.readouterr().err == ""
+
+
+def test_nul_in_out_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def expand(spec):
+        raise AssertionError("the sweep was expanded")
+
+    monkeypatch.setattr(cli, "sweep_settings", expand)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("preset = fig2\nout = a\0b.csv\n")
+    assert main(["analytic", "--config", "run.cfg"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config key 'out': no file name holds a NUL, got 'a\\x00b.csv'\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_dim_verify_source_is_refused_before_sampling(capsys, monkeypatch):
     def sample(settings, source):
         raise AssertionError("the source was sampled")

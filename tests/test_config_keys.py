@@ -6,6 +6,8 @@ import contextlib
 import io
 import math
 import os
+import re
+import sys
 import tempfile
 import warnings
 
@@ -20,10 +22,11 @@ from nmzi.config import (
     RunConfig,
     _as_bool,
     _as_int,
+    build_sweep_spec,
     canonical_config_text,
     parse_config,
 )
-from nmzi.correlation import PRESETS, SWEEP_PARAMS
+from nmzi.correlation import ALIAS_TARGETS, PRESETS, SWEEP_PARAMS
 from nmzi.montecarlo import SourceParams
 from test_cli import KEY_FLAG_VALUE
 
@@ -200,6 +203,80 @@ def test_every_config_the_table_allows_survives_its_canonical_text(entries):
 
 
 
+def _refusal(entries: dict) -> str | None:
+    """The config error the CLI prints for a grid that ``SweepSpec`` refuses,
+    as a pattern, or None: a fixed polarizer angle whose doubling overflows,
+    or a parameter set twice (by two axes, an axis and a fixed value, or an
+    alias and one of its targets)."""
+    preset = PRESETS.get(entries.get("preset"))
+    axes = [axis.name for axis in preset.axes] if preset else []
+    fixed = dict(preset.fixed) if preset else {}
+    to_radians = math.radians if entries.get("angles") == "degrees" else float
+    for key, value in entries.items():
+        head, _, param = key.partition(".")
+        if head == "sweep":
+            axes.append(param)
+        elif head == "fix":
+            fixed[param] = to_radians(float(value))
+    for name, value in fixed.items():
+        if name in ("xi", "theta", "zeta") and abs(value) > sys.float_info.max / 2:
+            return r"config error: fixed parameter '\w+': polarizer angle above"
+    targets = [t for name in axes + list(fixed) for t in ALIAS_TARGETS.get(name, (name,))]
+    if len(targets) != len(set(targets)):
+        return r"config error: parameter '\w+' set twice"
+    return None
+
+
+def _run_in_a_fresh_directory(mode: str, entries: dict):
+    """``cli.main([mode, "--config", ...])`` in a temporary directory: its
+    status, stdout and stderr lines, and the files it left with their text."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        patch.delenv(cli.OUT_DIR_ENV, raising=False)
+        with open("run.cfg", "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key} = {value}\n" for key, value in entries.items())
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = cli.main([mode, "--config", "run.cfg"])
+        files = {}
+        for name in sorted(set(os.listdir(directory)) - {"run.cfg"}):
+            with open(name, encoding="ascii") as handle:
+                files[name] = handle.read()
+    return status, stdout.getvalue().splitlines(), stderr.getvalue().splitlines(), files
+
+
+# The test's own parse of a bright source warns, as the CLI's run did.
+@pytest.mark.filterwarnings("ignore:mean photon number")
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(config_entries())
+def test_every_config_the_table_allows_runs_end_to_end(entries):
+    mode = entries["mode"]
+    if "out" in entries:
+        entries = {**entries, "out": "scan.csv"}
+    status, out, err, files = _run_in_a_fresh_directory(mode, entries)
+    errors = [line for line in err if not line.startswith("warning: ")]
+    refusal = _refusal(entries)
+    if refusal:
+        assert (status, out, files) == (1, [], {})
+        assert len(errors) == 1 and re.match(refusal, errors[0]), errors
+        return
+    assert (status, errors) == (0, []), err
+    if mode == "verify":
+        assert len(out) == 12 and files == {}
+        return
+    config = parse_config("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    csv_name = entries.get("out", f"{mode}_{entries.get('preset', 'sweep')}.csv")
+    written = [csv_name, csv_name[: -len(".csv")] + ".gp"] if config.gnuplot else [csv_name]
+    assert sorted(files) == sorted(written)
+    header, *lines = files[csv_name].splitlines()
+    assert len(lines) == build_sweep_spec(config).n_points
+    for name, cells in zip(header.split(","), zip(*(line.split(",") for line in lines))):
+        if name in ("R_hat_AD", "stderr_AD", "R_hat_BC", "stderr_BC"):
+            assert all(math.isfinite(float(cell)) or cell == "nan" for cell in cells), name
+        else:
+            assert all(math.isfinite(float(cell)) for cell in cells), name
+
+
 def test_record_defaults_are_the_table_defaults():
     # The records restate these defaults for callers that build them directly.
     assert RunConfig.normalization == KEYS["normalization"][1]
@@ -245,7 +322,7 @@ BAD_ENTRIES = {
         {"sweep.chi": "0:1:0.5"},
     ],
     "fix": [{"fix.phi": "nan"}, {"fix.psi": "-inf"}, {"fix.xi": "1e400"}, {"fix.chi": "1"}],
-    "out": [{"out": "."}, {"out": "missing/x.csv"}, {"out": "run.cfg/x.csv"}],
+    "out": [{"out": "."}, {"out": "missing/x.csv"}, {"out": "run.cfg/x.csv"}, {"out": "a\0b.csv"}],
     "angles": [{"angles": "grads"}, {"angles": "Degrees"}],
     "gnuplot": [{"gnuplot": "maybe"}, {"gnuplot": "2"}],
     "mu": [{"mu": "0"}, {"mu": "-0.1"}, {"mu": "nan"}, {"mu": "1e-400"}, {"mu": "x"}],
@@ -276,19 +353,9 @@ def bad_configs(draw):
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(bad_configs())
 def test_every_bad_value_exits_one_with_one_error_line_and_no_file(bad):
-    mode, entries = bad
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
-        patch.chdir(directory)
-        patch.delenv(cli.OUT_DIR_ENV, raising=False)
-        with open("run.cfg", "w", encoding="utf-8") as handle:
-            handle.writelines(f"{key} = {value}\n" for key, value in entries.items())
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            status = cli.main([mode, "--config", "run.cfg"])
-        left = os.listdir(directory)
-    lines = stderr.getvalue().splitlines()
+    status, out, lines, files = _run_in_a_fresh_directory(*bad)
     errors = [line for line in lines if not line.startswith("warning: ")]
     assert status == 1, lines
     assert len(errors) == 1 and errors[0].startswith(_ERROR_PREFIXES), lines
-    assert stdout.getvalue() == ""
-    assert left == ["run.cfg"]
+    assert out == []
+    assert files == {}

@@ -14,7 +14,6 @@ from nmzi.elements import (
     ElementConventions,
     beam_splitter_mix,
     half_wave_plate,
-    mirror_reflect,
     pbs_split,
     phase_shift,
     polarizer_project,
@@ -182,14 +181,13 @@ def test_malus_law_for_pure_h(zeta):
 # ------------------------------------------------------------------ broadcasting
 
 def every_element(h, v, angle):
-    """The outputs of all six element functions for one set of inputs."""
-    conv = ElementConventions(bs_reflection_phase=cmath.exp(0.3j), mirror_phase=-1j)
+    """The outputs of all five element functions for one set of inputs."""
+    conv = ElementConventions(bs_reflection_phase=cmath.exp(0.3j))
     return [
         *beam_splitter_mix(h, v, conv),
         *pbs_split(h, v, conv),
         *half_wave_plate(h, v, angle),
         phase_shift(h, angle),
-        mirror_reflect(h, conv),
         polarizer_project(h, v, angle),
     ]
 
@@ -207,15 +205,8 @@ def test_elements_on_arrays_match_scalar_calls(rows):
 
 # ------------------------------------------------------------- types / plumbing
 
-def test_mirror_applies_convention_phase():
-    conv = ElementConventions(mirror_phase=-1.0)
-    assert mirror_reflect(2.0 + 1j, conv) == -(2.0 + 1j)
-
-
 def test_conventions_reject_non_unit_phase():
     with pytest.raises(ValueError):
         ElementConventions(bs_reflection_phase=0.5j)
     with pytest.raises(ValueError):
         ElementConventions(pbs_reflection_phase=2.0)
-    with pytest.raises(ValueError):
-        ElementConventions(mirror_phase=0.0)

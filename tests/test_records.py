@@ -48,7 +48,7 @@ RECORDS = {
     "CoincidenceCounts": lambda: CoincidenceCounts(FATES),
     "McPointResult": lambda: McPointResult(CoincidenceCounts(FATES), TALLY),
     "SweepCounts": lambda: SweepCounts(np.zeros((2, 12), dtype=np.int64)),
-    "ElementConventions": lambda: ElementConventions(mirror_phase=-1.0),
+    "ElementConventions": lambda: ElementConventions(pbs_reflection_phase=-1.0),
     "CheckResult": lambda: CheckResult("check", 0.0, 1e-12),
     "VerificationReport": lambda: VerificationReport((CheckResult("check", 0.0, 1e-12),)),
 }
